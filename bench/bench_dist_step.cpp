@@ -1,10 +1,8 @@
-// Microbenchmarks (google-benchmark) for the data-parallel inner loop:
-// allreduce_gradients + optimizer step on a ResNet-sized parameter set,
-// legacy per-tensor pack/scatter path vs the contiguous-slab ParamStore
-// path.  Host wall time over the 4-rank simulated runtime — both variants
-// pay the same thread-spawn and transport costs, so the delta isolates the
-// per-step pack/scatter copies and per-tensor optimizer dispatch the slab
-// refactor removes.  bench/run_kernels.sh records both in BENCH_kernels.json.
+// Microbenchmark (google-benchmark) for the data-parallel inner loop: one
+// gradient-reducer step + flat Adam sweep on a ResNet-sized parameter set.
+// Host wall time over the 4-rank simulated runtime; the rate counter is over
+// real time, since the work runs on the rank threads, not the main thread.
+// bench/run_kernels.sh records it in BENCH_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -42,15 +40,6 @@ std::unique_ptr<nn::Sequential> make_tower(std::size_t w, unsigned seed) {
   return model;
 }
 
-void fill_grads(nn::Layer& model, unsigned seed) {
-  tensor::Rng rng(seed);
-  for (nn::Tensor* g : model.grads()) {
-    for (std::size_t j = 0; j < g->numel(); ++j) {
-      (*g)[j] = static_cast<float>(rng.normal() * 0.01);
-    }
-  }
-}
-
 std::size_t param_count(nn::Layer& model) {
   std::size_t n = 0;
   for (nn::Tensor* p : model.params()) n += p->numel();
@@ -65,30 +54,6 @@ void report(benchmark::State& state, std::size_t params) {
       benchmark::Counter::kIsRate);
 }
 
-/// Seed path: per-tensor bucketed pack/scatter allreduce + per-tensor Adam.
-void BM_DistStepLegacy(benchmark::State& state) {
-  const auto w = static_cast<std::size_t>(state.range(0));
-  comm::Runtime rt(simnet::Machine::homogeneous(kRanks, 1, bench_config(),
-                                                simnet::ComputeProfile{}));
-  std::vector<std::unique_ptr<nn::Sequential>> models;
-  std::vector<std::unique_ptr<nn::Adam>> opts;
-  for (int r = 0; r < kRanks; ++r) {
-    models.push_back(make_tower(w, 7));
-    opts.push_back(std::make_unique<nn::Adam>(1e-3));
-    fill_grads(*models.back(), 100u + static_cast<unsigned>(r));
-  }
-  dist::AllreduceOptions ar;
-  for (auto _ : state) {
-    rt.run([&](comm::Comm& comm) {
-      auto& m = *models[static_cast<std::size_t>(comm.rank())];
-      dist::allreduce_gradients(comm, m, ar);
-      opts[static_cast<std::size_t>(comm.rank())]->step(m.params(), m.grads());
-    });
-  }
-  report(state, param_count(*models[0]));
-}
-BENCHMARK(BM_DistStepLegacy)->Arg(512)->Arg(1864)->Unit(benchmark::kMillisecond);
-
 /// Slab path: allreduce over grad-slab ranges in place + one flat Adam sweep.
 void BM_DistStepSlab(benchmark::State& state) {
   const auto w = static_cast<std::size_t>(state.range(0));
@@ -102,19 +67,27 @@ void BM_DistStepSlab(benchmark::State& state) {
     stores.push_back(std::make_unique<nn::ParamStore>(*models.back()));
     opts.push_back(std::make_unique<nn::Adam>(1e-3));
     stores.back()->attach_optimizer(*opts.back());
-    fill_grads(*models.back(), 100u + static_cast<unsigned>(r));
+    tensor::Rng rng(100u + static_cast<unsigned>(r));
+    for (float& g : stores.back()->grad_span()) {
+      g = static_cast<float>(rng.normal() * 0.01);
+    }
   }
-  dist::AllreduceOptions ar;
   for (auto _ : state) {
     rt.run([&](comm::Comm& comm) {
       auto& store = *stores[static_cast<std::size_t>(comm.rank())];
-      dist::allreduce_gradients(comm, store, ar);
+      dist::OverlappedReducer reducer(comm, store, {});
+      reducer.begin_step();
+      reducer.finish();
       store.step(*opts[static_cast<std::size_t>(comm.rank())]);
     });
   }
   report(state, param_count(*models[0]));
 }
-BENCHMARK(BM_DistStepSlab)->Arg(512)->Arg(1864)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DistStepSlab)
+    ->Arg(512)
+    ->Arg(1864)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

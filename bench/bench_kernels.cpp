@@ -4,6 +4,8 @@
 //
 // These are host-wall-time numbers (not the simulated clock) — they justify
 // the per-step costs the examples/benches pay and catch kernel regressions.
+// Benchmarks with a rate counter whose work runs on pool or rank threads use
+// UseRealTime(): a rate over the main thread's CPU time would be inflated.
 #include <benchmark/benchmark.h>
 
 #include "comm/runtime.hpp"
@@ -33,7 +35,7 @@ void BM_Gemm(benchmark::State& state) {
           1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 void BM_Conv2DForward(benchmark::State& state) {
   tensor::Rng rng(2);
@@ -89,7 +91,7 @@ void BM_AllreduceWallTime(benchmark::State& state) {
       static_cast<double>(elems) * 4 * state.iterations() / 1e6,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_AllreduceWallTime)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_AllreduceWallTime)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_SmoTraining(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -137,7 +139,7 @@ void BM_Transpose(benchmark::State& state) {
           static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Transpose)->Arg(256)->Arg(1024);
+BENCHMARK(BM_Transpose)->Arg(256)->Arg(1024)->UseRealTime();
 
 void BM_Im2Col(benchmark::State& state) {
   tensor::Rng rng(11);

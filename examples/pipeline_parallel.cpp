@@ -56,8 +56,8 @@ int main() {
 
     // The stage's gradients ride the same reduction machinery as plain data
     // parallelism — here with fp16 wire compression on the data axis.
-    dist::PipelineOptions opts;
-    opts.allreduce.fp16_compression = true;
+    dist::AllreduceOptions opts;
+    opts.fp16_compression = true;
     dist::PipelineStage stage(
         mesh, std::move(parts[static_cast<std::size_t>(mesh.stage())]),
         std::make_unique<nn::Sgd>(0.05, 0.9), opts);

@@ -3,9 +3,10 @@
 //
 // The three pillars, exactly as in Horovod:
 //   1. broadcast_parameters      — all replicas start identical (bcast from 0)
-//   2. allreduce_gradients       — average grads each step, with tensor
-//                                  fusion (bucketing) and optional fp16
-//                                  compression
+//   2. OverlappedReducer         — average grads each step: tensor fusion
+//                                  (bucketing), optional fp16 compression,
+//                                  optional hierarchical split, optionally
+//                                  overlapped with the backward pass
 //   3. ShardedSampler            — disjoint per-rank data shards, reshuffled
 //                                  each epoch with a common seed
 // plus a DistributedTrainer that ties them to the nn:: layer stack and
@@ -14,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -32,15 +34,13 @@ struct AllreduceOptions {
   bool fp16_compression = false;        ///< halve wire traffic via binary16
   /// Launch each bucket's allreduce nonblocking as soon as the backward pass
   /// finalises its gradients (Horovod's overlap), draining before the
-  /// optimizer.  Bucket boundaries and per-bucket reduction order are
-  /// identical to the synchronous path, so results match bit for bit.
+  /// optimizer.  Bucket boundaries and per-bucket reduction calls are the
+  /// same as without it, so results match bit for bit.
   bool overlap = false;
-  /// Compose intra-group ring reduce-scatter/allgather with an inter-group
+  /// Compose intra-node ring reduce-scatter/allgather with an inter-node
   /// allreduce (see overlap.hpp).  Ignored when the machine topology gives
   /// the split nothing to exploit.
   bool hierarchical = false;
-  /// Grouping used when `hierarchical` is set.
-  HierarchyLevel hierarchy_level = HierarchyLevel::Node;
   std::optional<simnet::CollectiveAlgorithm> algorithm;  ///< force algorithm
 };
 
@@ -52,72 +52,53 @@ void broadcast_parameters(comm::Comm& comm, nn::Layer& model, int root = 0);
 void broadcast_parameters(comm::Comm& comm, nn::ParamStore& store,
                           int root = 0);
 
-/// Sum-and-average all gradient tensors of @p model across ranks.
-/// Gradients are packed into buckets of at most bucket_bytes and allreduced
-/// bucket-by-bucket (tensor fusion), then scaled by 1/size.  This is the
-/// pack/scatter reference path for models without a ParamStore; prefer the
-/// slab overload below, which does no copies at all.
-void allreduce_gradients(comm::Comm& comm, nn::Layer& model,
-                         const AllreduceOptions& options = {});
-
-/// Slab path: buckets are just offset ranges of the gradient slab, handed
-/// to comm.allreduce in place and averaged in place — zero per-step
-/// pack/unpack copies in the fp32 path.  fp16 compression converts each
-/// range through a reused scratch buffer.  Bucket boundaries (and hence
-/// reduction order) are identical to the pack/scatter reference, so the
-/// results match bit for bit.
-void allreduce_gradients(comm::Comm& comm, nn::ParamStore& store,
-                         const AllreduceOptions& options = {});
-
-/// Slab path through the two-level topology: same buckets, but each bucket
-/// runs hierarchical_allreduce (intra reduce-scatter, inter allreduce, intra
-/// allgather) instead of a flat world allreduce.  `options.algorithm` picks
-/// the inter-group algorithm.
-void allreduce_gradients(comm::Comm& comm, HierarchicalComms& topo,
-                         nn::ParamStore& store,
-                         const AllreduceOptions& options = {});
-
-/// Backward-overlapped bucketed gradient reducer (the tentpole of Horovod's
-/// pipelining, Sec. III-A): installed as the model's BackwardObserver, it
-/// watches layers finish their backward pass in reverse order, maps their
-/// gradient tensors onto contiguous grad-slab buckets, and launches a
-/// nonblocking allreduce for every bucket the moment its last contributing
-/// layer completes — while earlier layers are still computing.  finish()
-/// drains all requests and applies the 1/world scaling before the optimizer
-/// runs.
+/// The one gradient-averaging path over a data axis (Horovod's tensor
+/// fusion, fp16 compression and backward overlap, Sec. III-A).  The gradient
+/// slab is cut into fixed offset-range buckets of bucket_bytes; each bucket
+/// is summed across the communicator — as binary16 under fp16_compression,
+/// through the reducer's own intra/cross split under `hierarchical` when the
+/// topology has one — and scaled by 1/size().
 ///
-/// Determinism: bucket boundaries are fixed offset ranges of the grad slab
-/// (identical to the synchronous allreduce_gradients), each bucket's payload
-/// is final when launched, and buckets are reduced independently — so the
-/// overlapped result is bit-identical to the synchronous path regardless of
-/// launch order.  Launch *order* (gradient readiness) only shapes the
-/// simulated timeline.
+/// Without `overlap`, finish() reduces every bucket blocking, in ascending
+/// order, inside one "allreduce_grads" Comm span.  With `overlap`, the
+/// reducer is the model's BackwardObserver: it watches layers finish their
+/// backward pass in reverse order and launches a nonblocking reduction for
+/// every bucket the moment its last contributing layer completes, while
+/// earlier layers are still computing; finish() drains them outside any
+/// span.  The hooks also charge each layer's backward compute (2x its
+/// forward flops) so bucket issue times interleave honestly with compute;
+/// the caller tops up any remainder.
 ///
-/// Also charges per-layer backward compute (2x the layer's forward flops) as
-/// layers complete, so bucket issue times interleave honestly with compute;
-/// the trainer tops up any remainder to keep totals equal to the sync path.
+/// Determinism: each bucket's payload is final when launched and buckets
+/// are reduced independently by the same collective calls in both modes, so
+/// overlapped and blocking runs are bit-identical regardless of launch
+/// order.  Launch order only shapes the simulated timeline.
 class OverlappedReducer : public nn::BackwardObserver {
  public:
-  /// @p hier may be null (flat reduction).  All referees must outlive the
-  /// reducer; @p comm must have size() > 1.
+  /// @p comm and @p store must outlive the reducer, and @p comm must have
+  /// size() > 1.  Collective over @p comm when options.hierarchical is set
+  /// (the split is built here).
   OverlappedReducer(comm::Comm& comm, nn::ParamStore& store,
-                    AllreduceOptions options, HierarchicalComms* hier);
+                    AllreduceOptions options);
 
   /// Reset per-step tracking.  Call after zero_grads, before backward.
   void begin_step();
 
-  /// BackwardObserver: charge the layer's backward compute, mark its
-  /// gradient ranges ready, launch any bucket that just filled.
+  /// BackwardObserver (overlap only): charge the layer's backward compute,
+  /// mark its gradient ranges ready, launch any bucket that just filled.
   void on_layer_backward(nn::Layer& layer) override;
 
-  /// Launch any buckets still unfilled (defensive: tensors not reported by
-  /// any layer), drain every request, scale the slab by 1/world.
+  /// Launch every bucket not launched yet, drain, and apply the fp16 unpack
+  /// and 1/world scaling.
   void finish();
+
+  /// True when buckets launch from backward hooks (options.overlap).
+  [[nodiscard]] bool overlapped() const { return options_.overlap; }
 
   /// Backward flops charged through hooks this step (2x forward per layer).
   [[nodiscard]] double charged_flops() const { return charged_flops_; }
 
-  /// Bucket count over the grad slab (same boundaries as the sync path).
+  /// Bucket count over the grad slab.
   [[nodiscard]] std::size_t bucket_count() const { return n_buckets_; }
 
   /// Buckets launched from inside the backward pass this step (the rest
@@ -127,12 +108,17 @@ class OverlappedReducer : public nn::BackwardObserver {
   }
 
  private:
+  [[nodiscard]] std::span<float> bucket(std::size_t b) const;
   void launch_bucket(std::size_t b);
+  /// Sum @p wire (a bucket, or its binary16 image) across the data axis:
+  /// now, or deferred to the progress engine under `overlap`.
+  template <typename T>
+  void reduce(std::span<T> wire);
 
   comm::Comm& comm_;
   nn::ParamStore& store_;
   AllreduceOptions options_;
-  HierarchicalComms* hier_;
+  std::optional<HierarchicalComms> hier_;
   std::size_t bucket_elems_;
   std::size_t n_buckets_;
   std::vector<std::size_t> remaining_;   // unready elements per bucket
@@ -140,7 +126,6 @@ class OverlappedReducer : public nn::BackwardObserver {
   std::vector<char> seen_;               // per registered grad tensor
   std::vector<std::vector<Half>> half_;  // per-bucket fp16 wire scratch
   std::vector<comm::Request> requests_;
-  std::vector<std::size_t> launched_buckets_;  // bucket index per request
   std::size_t launched_in_backward_ = 0;
   double charged_flops_ = 0.0;
 };
@@ -182,8 +167,9 @@ struct StepResult {
 /// Data-parallel trainer wrapping a model replica on one rank.
 ///
 /// Construction builds a ParamStore over the model (relocating parameters,
-/// gradients, and optimizer state into contiguous slabs), so every step
-/// runs the fused paths: slab-range allreduce and flat optimizer sweeps.
+/// gradients, and optimizer state into contiguous slabs) and, on more than
+/// one rank, the OverlappedReducer that averages its gradient slab, so every
+/// step runs the fused paths: slab-range allreduce and flat optimizer sweeps.
 class DistributedTrainer {
  public:
   DistributedTrainer(comm::Comm& comm, nn::Layer& model, nn::Optimizer& opt,
@@ -196,11 +182,7 @@ class DistributedTrainer {
   /// The slab store backing this trainer's model.
   [[nodiscard]] nn::ParamStore& param_store() { return store_; }
 
-  /// Non-null when options.hierarchical found an exploitable topology.
-  [[nodiscard]] const HierarchicalComms* hierarchy() const {
-    return hier_ ? &*hier_ : nullptr;
-  }
-  /// Non-null when options.overlap is active (size() > 1).
+  /// The gradient reducer; null on a one-rank communicator.
   [[nodiscard]] const OverlappedReducer* reducer() const {
     return reducer_ ? &*reducer_ : nullptr;
   }
@@ -226,7 +208,6 @@ class DistributedTrainer {
   [[nodiscard]] double loss_scale() const { return loss_scale_; }
 
  private:
-  void reduce_and_apply();
   /// Shared tail of both step flavours: charge compute, reduce, apply.
   void backward_reduce_apply(const nn::Tensor& loss_grad, double fwd_flops);
 
@@ -234,8 +215,6 @@ class DistributedTrainer {
   nn::Layer& model_;
   nn::Optimizer& opt_;
   nn::ParamStore store_;
-  AllreduceOptions options_;
-  std::optional<HierarchicalComms> hier_;
   std::optional<OverlappedReducer> reducer_;
   double loss_scale_ = 1.0;
 };

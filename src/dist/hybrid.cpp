@@ -39,8 +39,7 @@ void HybridStrategy::build() {
   Mesh mesh(comm_, MeshOptions{stages_now_, options_.topology_aware});
   auto mine = std::move(parts[static_cast<std::size_t>(mesh.stage())]);
   stage_ = std::make_unique<PipelineStage>(mesh, std::move(mine),
-                                           opt_factory_(),
-                                           PipelineOptions{options_.allreduce});
+                                           opt_factory_(), options_.allreduce);
 }
 
 StepResult HybridStrategy::step_classification(

@@ -8,7 +8,9 @@
 
 namespace msa::dist {
 
-HierarchicalComms make_hierarchical(comm::Comm& world, HierarchyLevel level) {
+std::optional<HierarchicalComms> make_hierarchical(comm::Comm& world,
+                                                   HierarchyLevel level) {
+  if (world.size() == 1) return std::nullopt;
   const simnet::RankLocation& loc =
       world.machine().location(world.world_rank());
   // Group key: ranks sharing a node (or module) reduce locally first.  The
@@ -26,45 +28,17 @@ HierarchicalComms make_hierarchical(comm::Comm& world, HierarchyLevel level) {
   std::array<int, 2> extent = {intra.size(), -intra.size()};
   world.allreduce(std::span<int>(extent), comm::ReduceOp::Max);
   const bool equal_sizes = extent[0] == -extent[1];
-  const bool enabled = equal_sizes && intra.size() > 1 && cross.size() > 1;
-  return HierarchicalComms{std::move(intra), std::move(cross), enabled};
-}
-
-void allreduce_gradients(comm::Comm& comm, HierarchicalComms& topo,
-                         nn::ParamStore& store,
-                         const AllreduceOptions& options) {
-  if (comm.size() == 1) return;
-  std::span<float> slab = store.grad_span();
-  const std::size_t bucket_elems =
-      std::max<std::size_t>(1, options.bucket_bytes / sizeof(float));
-  const float inv_world = 1.0f / static_cast<float>(comm.size());
-  std::vector<Half> half;
-  for (std::size_t offset = 0; offset < slab.size(); offset += bucket_elems) {
-    std::span<float> range =
-        slab.subspan(offset, std::min(bucket_elems, slab.size() - offset));
-    if (options.fp16_compression) {
-      half.resize(range.size());
-      for (std::size_t i = 0; i < range.size(); ++i) half[i] = Half(range[i]);
-      hierarchical_allreduce(comm, topo, std::span<Half>(half),
-                             comm::ReduceOp::Sum, options.algorithm);
-      for (std::size_t i = 0; i < range.size(); ++i) {
-        range[i] = half[i].to_float() * inv_world;
-      }
-    } else {
-      hierarchical_allreduce(comm, topo, range, comm::ReduceOp::Sum,
-                             options.algorithm);
-      for (float& g : range) g *= inv_world;
-    }
+  if (!equal_sizes || intra.size() == 1 || cross.size() == 1) {
+    return std::nullopt;
   }
+  return HierarchicalComms{std::move(intra), std::move(cross)};
 }
 
 OverlappedReducer::OverlappedReducer(comm::Comm& comm, nn::ParamStore& store,
-                                     AllreduceOptions options,
-                                     HierarchicalComms* hier)
+                                     AllreduceOptions options)
     : comm_(comm),
       store_(store),
       options_(options),
-      hier_(hier),
       bucket_elems_(
           std::max<std::size_t>(1, options.bucket_bytes / sizeof(float))),
       n_buckets_((store.size() + bucket_elems_ - 1) / bucket_elems_) {
@@ -72,12 +46,12 @@ OverlappedReducer::OverlappedReducer(comm::Comm& comm, nn::ParamStore& store,
     throw std::invalid_argument(
         "OverlappedReducer: needs a multi-rank communicator");
   }
+  if (options_.hierarchical) hier_ = make_hierarchical(comm_);
   remaining_.resize(n_buckets_);
   launched_.resize(n_buckets_, 0);
   seen_.resize(store_.grads().size(), 0);
   half_.resize(n_buckets_);
   requests_.reserve(n_buckets_);
-  launched_buckets_.reserve(n_buckets_);
 }
 
 void OverlappedReducer::begin_step() {
@@ -86,60 +60,57 @@ void OverlappedReducer::begin_step() {
         "OverlappedReducer::begin_step: previous step never finished "
         "(requests still in flight)");
   }
-  const std::size_t total = store_.size();
   for (std::size_t b = 0; b < n_buckets_; ++b) {
-    const std::size_t lo = b * bucket_elems_;
-    remaining_[b] = std::min(bucket_elems_, total - lo);
+    remaining_[b] = bucket(b).size();
     launched_[b] = 0;
   }
   std::fill(seen_.begin(), seen_.end(), 0);
-  launched_buckets_.clear();
   launched_in_backward_ = 0;
   charged_flops_ = 0.0;
 }
 
+std::span<float> OverlappedReducer::bucket(std::size_t b) const {
+  const std::size_t lo = b * bucket_elems_;
+  return store_.grad_span().subspan(
+      lo, std::min(bucket_elems_, store_.size() - lo));
+}
+
+template <typename T>
+void OverlappedReducer::reduce(std::span<T> wire) {
+  // One body for both modes: run now on the live communicators, or replayed
+  // when the engine drains on snapshots taken at issue (see Comm::idefer).
+  auto body = [wire, alg = options_.algorithm](
+                  comm::Comm& world, std::optional<HierarchicalComms>& topo) {
+    if (topo) {
+      hierarchical_allreduce(world, *topo, wire, comm::ReduceOp::Sum, alg);
+    } else {
+      world.allreduce(wire, comm::ReduceOp::Sum, alg);
+    }
+  };
+  if (!options_.overlap) {
+    body(comm_, hier_);
+    return;
+  }
+  requests_.push_back(comm_.idefer(
+      wire.size_bytes(), [body, world = comm_, topo = hier_]() mutable {
+        body(world, topo);
+      }));
+}
+
 void OverlappedReducer::launch_bucket(std::size_t b) {
   launched_[b] = 1;
-  launched_buckets_.push_back(b);
-  const std::size_t lo = b * bucket_elems_;
-  std::span<float> range = store_.grad_span().subspan(
-      lo, std::min(bucket_elems_, store_.size() - lo));
   // The wire payload is final here: every tensor overlapping this bucket has
-  // finished its backward accumulation (remaining_ hit zero), so packing /
-  // reducing now produces exactly what the synchronous path would.
-  if (options_.fp16_compression) {
-    auto& h = half_[b];
-    h.resize(range.size());
-    for (std::size_t i = 0; i < range.size(); ++i) h[i] = Half(range[i]);
-    std::span<Half> wire(h);
-    if (hier_ != nullptr) {
-      comm::Comm world = comm_;
-      HierarchicalComms topo = *hier_;
-      requests_.push_back(comm_.idefer(
-          wire.size_bytes(), [world, topo, wire,
-                              alg = options_.algorithm]() mutable {
-            hierarchical_allreduce(world, topo, wire, comm::ReduceOp::Sum,
-                                   alg);
-          }));
-    } else {
-      requests_.push_back(
-          comm_.iallreduce(wire, comm::ReduceOp::Sum, options_.algorithm));
-    }
-  } else {
-    if (hier_ != nullptr) {
-      comm::Comm world = comm_;
-      HierarchicalComms topo = *hier_;
-      requests_.push_back(comm_.idefer(
-          range.size_bytes(), [world, topo, range,
-                               alg = options_.algorithm]() mutable {
-            hierarchical_allreduce(world, topo, range, comm::ReduceOp::Sum,
-                                   alg);
-          }));
-    } else {
-      requests_.push_back(
-          comm_.iallreduce(range, comm::ReduceOp::Sum, options_.algorithm));
-    }
+  // finished its backward accumulation, so reducing now produces exactly
+  // what any other launch order would.
+  const std::span<float> range = bucket(b);
+  if (!options_.fp16_compression) {
+    reduce(range);
+    return;
   }
+  std::vector<Half>& h = half_[b];
+  h.resize(range.size());
+  for (std::size_t i = 0; i < range.size(); ++i) h[i] = Half(range[i]);
+  reduce(std::span<Half>(h));
 }
 
 void OverlappedReducer::on_layer_backward(nn::Layer& layer) {
@@ -175,9 +146,17 @@ void OverlappedReducer::on_layer_backward(nn::Layer& layer) {
 }
 
 void OverlappedReducer::finish() {
-  // Buckets whose tensors no layer reported (e.g. parameters outside the
-  // observed container) go out now, ascending — same boundaries, so still
-  // bit-identical to the sync path.
+  // Blocking, the whole reduction is one attributed Comm phase.  Overlapped,
+  // the drain stays OUTSIDE any span: the engine's hidden/exposed intervals
+  // are the authoritative record for the in-flight buckets.
+  std::optional<obs::ScopedSpan> span;
+  if (!options_.overlap) {
+    span.emplace(obs::Category::Comm, "allreduce_grads",
+                 store_.grad_span().size_bytes(), 0, comm_.id());
+  }
+  // Buckets not launched yet go out now, ascending: every bucket when
+  // blocking, and under overlap any whose tensors no layer reported (e.g.
+  // parameters outside the observed container).
   for (std::size_t b = 0; b < n_buckets_; ++b) {
     if (launched_[b] == 0) launch_bucket(b);
   }
@@ -187,20 +166,14 @@ void OverlappedReducer::finish() {
     // Rank failure mid-drain: the engine abandoned everything in flight.
     // Clear our bookkeeping so recovery can start a fresh step.
     requests_.clear();
-    launched_buckets_.clear();
     throw;
   }
   requests_.clear();
-  // Apply the 1/world averaging (and fp16 unpack) per bucket — the exact
-  // post-reduce arithmetic of the synchronous slab path.
   const float inv_world = 1.0f / static_cast<float>(comm_.size());
-  std::span<float> slab = store_.grad_span();
-  for (std::size_t b : launched_buckets_) {
-    const std::size_t lo = b * bucket_elems_;
-    std::span<float> range =
-        slab.subspan(lo, std::min(bucket_elems_, slab.size() - lo));
+  for (std::size_t b = 0; b < n_buckets_; ++b) {
+    const std::span<float> range = bucket(b);
     if (options_.fp16_compression) {
-      const auto& h = half_[b];
+      const std::vector<Half>& h = half_[b];
       for (std::size_t i = 0; i < range.size(); ++i) {
         range[i] = h[i].to_float() * inv_world;
       }
@@ -208,7 +181,6 @@ void OverlappedReducer::finish() {
       for (float& g : range) g *= inv_world;
     }
   }
-  launched_buckets_.clear();
 }
 
 }  // namespace msa::dist

@@ -11,8 +11,8 @@
 //
 // make_hierarchical derives the two sub-communicators from the machine's
 // rank placement and decides eligibility (equal-size groups, both levels
-// non-trivial); callers fall back to the flat path when it reports disabled,
-// so the same call site is correct on any topology.
+// non-trivial); it returns nothing when the topology gives the split nothing
+// to exploit, and the caller reduces flat.
 #pragma once
 
 #include <algorithm>
@@ -35,36 +35,26 @@ enum class HierarchyLevel {
 struct HierarchicalComms {
   comm::Comm intra;  ///< ranks in my group (node or module)
   comm::Comm cross;  ///< rank i of every group, i = my intra rank
-  /// False when the topology gives the composition nothing to exploit
-  /// (single group, singleton groups, or unequal group sizes — the chunked
-  /// exchange needs every group to own the same chunk count).
-  bool enabled = false;
 };
 
 /// Split @p world by rank placement into intra-group and cross-group
-/// communicators.  Collective (every member must call).  When the resulting
-/// decomposition is unusable, `enabled` is false and the comms are still
-/// valid (intra == self-group, cross == same-index peers) but callers should
-/// take the flat path.
-[[nodiscard]] HierarchicalComms make_hierarchical(
+/// communicators.  Collective (every member of a multi-rank @p world must
+/// call).  Empty when the topology gives the composition nothing to exploit:
+/// a single group, singleton groups, or unequal group sizes (the chunked
+/// exchange needs every group to own the same chunk count).
+[[nodiscard]] std::optional<HierarchicalComms> make_hierarchical(
     comm::Comm& world, HierarchyLevel level = HierarchyLevel::Node);
 
 /// Two-level allreduce: intra ring reduce-scatter, inter-group allreduce of
 /// the owned chunk (@p inter_alg — e.g. GCE offload when available), intra
-/// allgather.  Falls back to a flat world allreduce when @p topo is not
-/// enabled.  Equivalent reduction up to floating-point reassociation (exact
-/// for integer-valued data); the elementwise result uses every rank's
+/// allgather.  Equivalent reduction up to floating-point reassociation
+/// (exact for integer-valued data); the elementwise result uses every rank's
 /// contribution exactly once.
 template <typename T>
 void hierarchical_allreduce(
     comm::Comm& world, HierarchicalComms& topo, std::span<T> data,
     comm::ReduceOp op,
     std::optional<simnet::CollectiveAlgorithm> inter_alg = {}) {
-  if (world.size() == 1) return;
-  if (!topo.enabled) {
-    world.allreduce(data, op, inter_alg);
-    return;
-  }
   const int P = topo.intra.size();
   const std::size_t chunk = data.size() / static_cast<std::size_t>(P);
   if (chunk > 0) {

@@ -48,25 +48,18 @@ nn::Sequential& PipelineStage::checked_stage() {
 
 PipelineStage::PipelineStage(Mesh mesh, std::unique_ptr<nn::Sequential> stage,
                              std::unique_ptr<nn::Optimizer> optimizer,
-                             PipelineOptions options)
+                             AllreduceOptions allreduce)
     : mesh_(std::move(mesh)),
       stage_(std::move(stage)),
       optimizer_(std::move(optimizer)),
       store_(checked_stage()),
-      options_(options),
       xfer_(mesh_.pipe().dup()) {
   if (!optimizer_) {
     throw std::invalid_argument("PipelineStage: null optimizer");
   }
   store_.attach_optimizer(*optimizer_);
-  comm::Comm& data = mesh_.data();
-  if (data.size() > 1 && options_.allreduce.hierarchical) {
-    hier_ = make_hierarchical(data, options_.allreduce.hierarchy_level);
-    if (!hier_->enabled) hier_.reset();  // flat topology: nothing to exploit
-  }
-  if (data.size() > 1 && options_.allreduce.overlap) {
-    reducer_.emplace(data, store_, options_.allreduce,
-                     hier_ ? &*hier_ : nullptr);
+  if (mesh_.data().size() > 1) {
+    reducer_.emplace(mesh_.data(), store_, allreduce);
   }
 }
 
@@ -76,7 +69,7 @@ PipelineStage::PipelineStage(comm::Comm& comm,
     : PipelineStage(
           Mesh(comm, MeshOptions{/*pipeline_stages=*/comm.size(),
                                  /*topology_aware=*/false}),
-          std::move(stage), std::move(optimizer), PipelineOptions{}) {}
+          std::move(stage), std::move(optimizer)) {}
 
 void PipelineStage::send_tensor(const nn::Tensor& t, int dest_stage, int tag) {
   const std::vector<float> packed = pack_tensor(t);
@@ -191,28 +184,25 @@ float PipelineStage::step_classification(
     // layer by layer (reverse order) — exactly when the overlapped reducer
     // may launch buckets.  Earlier backwards only accumulate.
     const bool final_grads = i == M - 1 && reducer_.has_value();
-    if (final_grads) {
-      reducer_->begin_step();
-      stage_->set_backward_observer(&*reducer_);
-    }
+    const bool hooked = final_grads && reducer_->overlapped();
+    if (final_grads) reducer_->begin_step();
+    if (hooked) stage_->set_backward_observer(&*reducer_);
     nn::Tensor grad_out;
     {
       obs::ScopedSpan span(obs::Category::Compute, "backward");
       grad_out = stage_->backward(grad_in);
     }
-    // Ship the upstream gradient before draining our own reduction: the
-    // previous stage's schedule must not stall on our allreduce.
+    // Ship the upstream gradient before our own reduction: the previous
+    // stage's schedule must not stall on our allreduce.
     if (!is_first()) send_tensor(grad_out, s - 1, kGradTag);
-    if (final_grads) {
+    if (hooked) {
       stage_->set_backward_observer(nullptr);
       const double rem = 2.0 * fwd_flops - reducer_->charged_flops();
       if (rem > 0.0) world.charge_compute(rem, 0.0);
-      // Drain outside any attribution span: the engine's hidden/exposed
-      // intervals are the authoritative record for in-flight buckets.
-      reducer_->finish();
     } else {
       world.charge_compute(2.0 * fwd_flops, 0.0);
     }
+    if (final_grads) reducer_->finish();
   };
 
   // 1F1B: warmup forwards, steady one-forward-one-backward, cooldown.
@@ -227,18 +217,8 @@ float PipelineStage::step_classification(
   }
   for (int i = M - W; i < M; ++i) backward_one(i, /*cooldown=*/true);
 
-  // Data-axis reduction (the overlapped path already drained inside the
-  // final backward), then one flat optimizer sweep over the slabs.
-  if (mesh_.data().size() > 1 && !reducer_) {
-    obs::ScopedSpan span(obs::Category::Comm, "allreduce_grads",
-                         store_.grad_span().size_bytes(), 0,
-                         mesh_.data().id());
-    if (hier_) {
-      allreduce_gradients(mesh_.data(), *hier_, store_, options_.allreduce);
-    } else {
-      allreduce_gradients(mesh_.data(), store_, options_.allreduce);
-    }
-  }
+  // The data axis was reduced after the final backward; one flat optimizer
+  // sweep over the slabs.
   {
     obs::ScopedSpan span(obs::Category::Compute, "optimizer");
     store_.step(*optimizer_);

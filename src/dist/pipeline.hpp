@@ -28,12 +28,13 @@
 // on forward (BatchNorm) would double-update; the deterministic schedule
 // keeps even that reproducible, but prefer norm-free stages for exactness.
 //
-// Across the mesh's data axis the stage's gradient slab flows through the
-// very same machinery as plain data parallelism: bucketed slab-range
+// Across the mesh's data axis the stage's gradient slab is averaged by the
+// same OverlappedReducer as plain data parallelism: bucketed slab-range
 // allreduce, optional fp16 wire compression, optional hierarchical
-// intra/inter-module composition, and the backward-overlapped
-// OverlappedReducer (installed only for the last microbatch's backward —
-// the one whose completion finalises the accumulated gradients).
+// intra/inter-node composition.  The reducer runs right after the last
+// microbatch's backward — the one whose completion finalises the
+// accumulated gradients — and under `overlap` is installed as that
+// backward's observer, so its buckets launch while the backward runs.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +53,6 @@
 
 namespace msa::dist {
 
-struct PipelineOptions {
-  /// Gradient reduction across the mesh's data axis (bucketing, fp16,
-  /// hierarchical, overlap) — the same knobs as DistributedTrainer.
-  AllreduceOptions allreduce;
-};
-
 /// One rank's stage of a (possibly data-parallel-replicated) pipeline.
 class PipelineStage {
  public:
@@ -65,10 +60,12 @@ class PipelineStage {
   /// mesh.stage() of replica chain mesh.replica().  @p stage is this rank's
   /// sub-network (stage 0 consumes inputs, the last stage holds the head +
   /// loss).  Parameters, gradients and optimizer state are relocated into
-  /// contiguous ParamStore slabs.  Collective over the mesh.
+  /// contiguous ParamStore slabs.  @p allreduce configures the gradient
+  /// reduction across the data axis — the same knobs as DistributedTrainer.
+  /// Collective over the mesh.
   PipelineStage(Mesh mesh, std::unique_ptr<nn::Sequential> stage,
                 std::unique_ptr<nn::Optimizer> optimizer,
-                PipelineOptions options = {});
+                AllreduceOptions allreduce = {});
 
   /// Legacy pure-pipeline form: one stage per communicator rank, in rank
   /// order (a [size x 1] mesh carved without topology awareness).
@@ -132,14 +129,13 @@ class PipelineStage {
   std::unique_ptr<nn::Sequential> stage_;
   std::unique_ptr<nn::Optimizer> optimizer_;
   nn::ParamStore store_;
-  PipelineOptions options_;
   /// Dedicated p2p channel for the deferred activation/gradient stream.
   /// Stages post different numbers of deferred ops (first: M, middle: 2M,
   /// last: M), and every deferred op reserves a collective-tag window on
   /// its communicator — on a dup this cannot desynchronise the pipe
   /// communicator's collective sequence (used for the loss/logits bcast).
   comm::Comm xfer_;
-  std::optional<HierarchicalComms> hier_;
+  /// Data-axis gradient reducer; null when the stage has one replica.
   std::optional<OverlappedReducer> reducer_;
   std::uint64_t last_act_bytes_ = 0;
   std::uint64_t last_grad_bytes_ = 0;

@@ -79,9 +79,8 @@ nn::Checkpoint prev_generation(const std::string& prefix) {
 // DataParallelStrategy
 
 DataParallelStrategy::DataParallelStrategy(comm::Comm& comm, nn::Layer& model,
-                                           nn::Optimizer& opt,
-                                           AllreduceOptions options)
-    : comm_(comm), opt_(opt), trainer_(comm_, model, opt_, options) {}
+                                           nn::Optimizer& opt)
+    : comm_(comm), opt_(opt), trainer_(comm_, model, opt_) {}
 
 StateBlob DataParallelStrategy::capture_state() {
   nn::ParamStore& store = trainer_.param_store();
@@ -123,9 +122,8 @@ ResilientTrainer::ResilientTrainer(comm::Comm& comm, nn::Layer& model,
                                    ResilientOptions options)
     : ResilientTrainer(
           comm,
-          [&model, &opt, allreduce = options.allreduce](comm::Comm& c) {
-            return std::make_unique<DataParallelStrategy>(c, model, opt,
-                                                          allreduce);
+          [&model, &opt](comm::Comm& c) {
+            return std::make_unique<DataParallelStrategy>(c, model, opt);
           },
           options) {}
 

@@ -44,7 +44,6 @@ struct ResilientOptions {
   int backstop_retries = 2;       ///< doubled re-waits for transient stragglers
   int max_recoveries = 8;         ///< abort after this many recovery cycles
   std::uint64_t sampler_seed = 42;
-  AllreduceOptions allreduce;     ///< used by the default DP strategy
   /// Fail-slow detection and mitigation (see dist/health.hpp); off by
   /// default so the fault-free fast path is untouched.
   HealthOptions health;
@@ -143,8 +142,7 @@ class DataParallelStrategy final : public ResilientStrategy {
  public:
   /// @p comm must be the resilience loop's owned handle: the strategy keeps
   /// the reference across recoveries.
-  DataParallelStrategy(comm::Comm& comm, nn::Layer& model, nn::Optimizer& opt,
-                       AllreduceOptions options = {});
+  DataParallelStrategy(comm::Comm& comm, nn::Layer& model, nn::Optimizer& opt);
 
   StepResult step_classification(
       const nn::Tensor& x, const std::vector<std::int32_t>& labels) override {

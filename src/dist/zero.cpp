@@ -13,10 +13,7 @@ ZeroOptimizer::ZeroOptimizer(comm::Comm& comm,
                              AllreduceOptions options)
     : comm_(comm), inner_(std::move(inner)), options_(options) {
   if (!inner_) throw std::invalid_argument("ZeroOptimizer: null inner");
-  if (options_.hierarchical && comm_.size() > 1) {
-    hier_ = make_hierarchical(comm_, options_.hierarchy_level);
-    if (!hier_->enabled) hier_.reset();  // nothing to exploit: flat path
-  }
+  if (options_.hierarchical) hier_ = make_hierarchical(comm_);
 }
 
 void ZeroOptimizer::initialise(std::size_t total_elems) {
@@ -181,53 +178,6 @@ void ZeroOptimizer::sharded_update(std::span<float> params,
   bytes_gathered_ += phase_bytes;
   reduced_bytes_metric.add(phase_bytes);
   gathered_bytes_metric.add(phase_bytes);
-}
-
-void ZeroOptimizer::step(const std::vector<nn::Tensor*>& params,
-                         const std::vector<nn::Tensor*>& grads) {
-  if (params.size() != grads.size()) {
-    throw std::invalid_argument("ZeroOptimizer::step: list size mismatch");
-  }
-  if (!initialised_) {
-    std::size_t total = 0;
-    for (const nn::Tensor* p : params) total += p->numel();
-    initialise(total);
-  }
-  if (gflat_.size() != padded_) gflat_.assign(padded_, 0.0f);
-  if (pflat_.size() != padded_) pflat_.assign(padded_, 0.0f);
-
-  // Flatten gradients tensor by tensor.
-  std::size_t at = 0;
-  for (const nn::Tensor* g : grads) {
-    std::copy(g->data(), g->data() + g->numel(),
-              gflat_.begin() + static_cast<std::ptrdiff_t>(at));
-    at += g->numel();
-  }
-  std::fill(gflat_.begin() + static_cast<std::ptrdiff_t>(total_),
-            gflat_.end(), 0.0f);
-
-  // Stage my parameter slice from wherever it lives in the tensor list.
-  at = 0;
-  for (const nn::Tensor* p : params) {
-    const std::size_t lo = at, hi = at + p->numel();
-    const std::size_t s = std::max(lo, my_off_);
-    const std::size_t e = std::min(hi, my_off_ + shard_elems_);
-    for (std::size_t i = s; i < e; ++i) {
-      pflat_[i] = (*p)[i - lo];
-    }
-    at = hi;
-  }
-
-  sharded_update(std::span<float>(pflat_), std::span<float>(gflat_));
-
-  // Scatter the updated parameters back into the tensors.
-  at = 0;
-  for (nn::Tensor* p : params) {
-    std::copy(pflat_.begin() + static_cast<std::ptrdiff_t>(at),
-              pflat_.begin() + static_cast<std::ptrdiff_t>(at + p->numel()),
-              p->data());
-    at += p->numel();
-  }
 }
 
 void ZeroOptimizer::step(nn::ParamStore& store) {

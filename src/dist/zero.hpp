@@ -31,15 +31,14 @@
 //   (bucket_bytes and algorithm are not applicable: each phase is one fused
 //   collective over the whole parameter space — that is ZeRO's wire shape.)
 //
-// The slab path (step(nn::ParamStore&)) runs the collectives directly on
-// the store's contiguous slabs: the reduce-scatter uses the gradient slab as
-// its ring scratch (the slab is consumed — zero_grads() starts the next
-// step anyway) and the allgather lands updated parameters in place in the
-// parameter slab.  The old per-step full-model flatten/scatter copies are
-// gone; what remains is the rank's own 1/P shard staged into the inner
+// step(nn::ParamStore&) runs the collectives directly on the store's
+// contiguous slabs: the reduce-scatter uses the gradient slab as its ring
+// scratch (the slab is consumed — zero_grads() starts the next step anyway)
+// and the allgather lands updated parameters in place in the parameter
+// slab.  What remains is the rank's own 1/P shard staged into the inner
 // optimizer's tensors and, for fp16, the wire-format conversion buffer.
-// When the parameter count is not a multiple of the world size the slab
-// path pads through a scratch pair (one contiguous copy per role).
+// When the parameter count is not a multiple of the world size the step
+// pads through a scratch pair (one contiguous copy per role).
 //
 // Wire traffic is accounted per step: cumulative payload bytes handed to
 // the fabric by each phase are available via bytes_reduced() /
@@ -71,16 +70,9 @@ class ZeroOptimizer {
   ZeroOptimizer(comm::Comm& comm, std::unique_ptr<nn::Optimizer> inner,
                 AllreduceOptions options = {});
 
-  /// One sharded update step.  Parameter/gradient lists must be stable
-  /// across calls (the flattening layout is fixed on first use).  This is
-  /// the pack/scatter reference path; it shares the collective core with the
-  /// slab path below, so the two match bit for bit.
-  void step(const std::vector<nn::Tensor*>& params,
-            const std::vector<nn::Tensor*>& grads);
-
-  /// Slab path: the collectives run directly on the store's slab ranges (see
-  /// file header).  The gradient slab is consumed as collective scratch.
-  /// Numerically identical to the list path.
+  /// One sharded update step: the collectives run directly on the store's
+  /// slab ranges (see file header).  The gradient slab is consumed as
+  /// collective scratch.  The store's size must not change across calls.
   void step(nn::ParamStore& store);
 
   /// Elements of the parameter space this rank's optimizer state covers.
@@ -113,9 +105,9 @@ class ZeroOptimizer {
 
  private:
   void initialise(std::size_t total_elems);
-  /// Core sharded update, shared by both paths: @p params / @p grads are
-  /// padded_ elements; on return params holds the allgathered updated
-  /// parameters and grads is scratch.
+  /// Core sharded update: @p params / @p grads are padded_ elements; on
+  /// return params holds the allgathered updated parameters and grads is
+  /// scratch.
   void sharded_update(std::span<float> params, std::span<float> grads);
   /// Run one collective phase: deferred through the progress engine under
   /// options_.overlap, inline otherwise.
@@ -133,7 +125,7 @@ class ZeroOptimizer {
   nn::Tensor param_shard_;  // inner optimizer's view; fp32 master under fp16
   nn::Tensor grad_shard_;   // this rank's reduced gradient slice
   bool master_live_ = false;  // param_shard_ holds the persistent master
-  std::vector<float> gflat_;  // staging: list path / padded slab path
+  std::vector<float> gflat_;  // staging for a padded parameter space
   std::vector<float> pflat_;
   std::vector<Half> wire_;  // fp16 wire-format scratch
   std::uint64_t bytes_reduced_ = 0;

@@ -9,7 +9,7 @@
 // tensors unchanged while:
 //
 //   * dist::broadcast_parameters is ONE bcast of the parameter slab,
-//   * dist::allreduce_gradients reduces slab ranges in place — buckets are
+//   * dist::OverlappedReducer reduces slab ranges in place — buckets are
 //     offsets, there is nothing to pack or scatter,
 //   * zero_grads() is one fill over the gradient slab,
 //   * Sgd/Adam updates are single parallel_for sweeps over flat slabs, and

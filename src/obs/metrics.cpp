@@ -157,7 +157,7 @@ std::string Registry::to_json() const {
   const Snapshot snap = snapshot();
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  char buf[64];
+  char buf[128];  // fits three %.17g quantiles plus their keys
   for (const auto& [name, v] : snap.counters) {
     out += first ? "\n" : ",\n";
     first = false;

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "comm/request.hpp"
@@ -331,18 +332,18 @@ TEST(Overlap, HierarchicalNodeLevelMatchesFlat) {
   const int P = 8;
   Runtime rt = make_runtime(P, 4);
   rt.run([&](Comm& comm) {
-    HierarchicalComms topo =
+    std::optional<HierarchicalComms> topo =
         msa::dist::make_hierarchical(comm, HierarchyLevel::Node);
-    ASSERT_TRUE(topo.enabled);
-    EXPECT_EQ(topo.intra.size(), 4);
-    EXPECT_EQ(topo.cross.size(), 2);
+    ASSERT_TRUE(topo.has_value());
+    EXPECT_EQ(topo->intra.size(), 4);
+    EXPECT_EQ(topo->cross.size(), 2);
     std::vector<float> hier(37), flat(37);
     for (std::size_t i = 0; i < hier.size(); ++i) {
       hier[i] = static_cast<float>((comm.rank() + 1) * 100 +
                                    static_cast<int>(i));
       flat[i] = hier[i];
     }
-    msa::dist::hierarchical_allreduce(comm, topo, std::span<float>(hier),
+    msa::dist::hierarchical_allreduce(comm, *topo, std::span<float>(hier),
                                       ReduceOp::Sum);
     comm.allreduce(std::span<float>(flat), ReduceOp::Sum);
     for (std::size_t i = 0; i < hier.size(); ++i) {
@@ -363,17 +364,17 @@ TEST(Overlap, HierarchicalModuleLevelAcrossCustomPlacement) {
   Runtime rt(Machine(test_config(), placement,
                      std::vector<ComputeProfile>(P, ComputeProfile{})));
   rt.run([&](Comm& comm) {
-    HierarchicalComms topo =
+    std::optional<HierarchicalComms> topo =
         msa::dist::make_hierarchical(comm, HierarchyLevel::Module);
-    ASSERT_TRUE(topo.enabled);
-    EXPECT_EQ(topo.intra.size(), 4);
-    EXPECT_EQ(topo.cross.size(), 2);
+    ASSERT_TRUE(topo.has_value());
+    EXPECT_EQ(topo->intra.size(), 4);
+    EXPECT_EQ(topo->cross.size(), 2);
     std::vector<float> hier(16), flat(16);
     for (std::size_t i = 0; i < hier.size(); ++i) {
       hier[i] = static_cast<float>(comm.rank() + 2 * static_cast<int>(i));
       flat[i] = hier[i];
     }
-    msa::dist::hierarchical_allreduce(comm, topo, std::span<float>(hier),
+    msa::dist::hierarchical_allreduce(comm, *topo, std::span<float>(hier),
                                       ReduceOp::Sum);
     comm.allreduce(std::span<float>(flat), ReduceOp::Sum);
     for (std::size_t i = 0; i < hier.size(); ++i) {

@@ -65,7 +65,7 @@ TEST(Module, DeepEstHasTheFourComputeModules) {
   EXPECT_TRUE(deep.has_module(ModuleKind::DataAnalytics));
   EXPECT_EQ(deep.module(ModuleKind::DataAnalytics).node_count, 16);
   EXPECT_TRUE(deep.module(ModuleKind::ExtremeScaleBooster).gce);
-  EXPECT_THROW(deep.module(ModuleKind::Quantum), std::out_of_range);
+  EXPECT_THROW((void)deep.module(ModuleKind::Quantum), std::out_of_range);
 }
 
 TEST(PerfModel, GpuOnlyWorkloadInfeasibleOnCpuModule) {

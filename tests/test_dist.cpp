@@ -3,7 +3,8 @@
 // The central invariant: P-way data-parallel SGD with gradient averaging on
 // disjoint microbatches is mathematically identical to serial SGD on the
 // concatenated global batch.  We verify it end-to-end through the comm
-// runtime, plus fp16 compression, bucketing, sharding and broadcast.
+// runtime, plus fp16 compression, bucketing, sharding and broadcast.  The
+// reduction tests drive the gradient reducer directly over a ParamStore.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "dist/distributed.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/param_store.hpp"
 
 namespace {
 
@@ -23,6 +25,7 @@ using msa::dist::AllreduceOptions;
 using msa::dist::broadcast_parameters;
 using msa::dist::DistributedTrainer;
 using msa::dist::Half;
+using msa::dist::OverlappedReducer;
 using msa::dist::ShardedSampler;
 using msa::simnet::ComputeProfile;
 using msa::simnet::Machine;
@@ -36,6 +39,14 @@ MachineConfig test_config() {
   cfg.intra_module = {1.0e-6, 10e9, 0.3e-6};
   cfg.federation = {2.0e-6, 5e9, 0.5e-6};
   return cfg;
+}
+
+/// Average @p store's gradient slab across @p comm: one reducer step.
+void average_gradients(Comm& comm, msa::nn::ParamStore& store,
+                       const AllreduceOptions& options) {
+  OverlappedReducer reducer(comm, store, options);
+  reducer.begin_step();
+  reducer.finish();
 }
 
 // ---- fp16 --------------------------------------------------------------------
@@ -244,10 +255,11 @@ TEST(Dist, Fp16HalvesWireTraffic) {
     rt.run([&](Comm& comm) {
       Rng rng(7);
       auto model = msa::nn::make_mlp(16, {32}, 4, rng);
+      msa::nn::ParamStore store(*model);
       AllreduceOptions opts;
       opts.fp16_compression = fp16;
       opts.algorithm = msa::simnet::CollectiveAlgorithm::Ring;
-      msa::dist::allreduce_gradients(comm, *model, opts);
+      average_gradients(comm, store, opts);
     });
     traffic[static_cast<std::size_t>(pass)] = rt.bytes_sent()[0];
   }
@@ -266,6 +278,7 @@ TEST(Dist, BucketingDoesNotChangeResult) {
     rt.run([&](Comm& comm) {
       Rng rng(7);
       auto model = msa::nn::make_mlp(9, {7}, 3, rng);
+      msa::nn::ParamStore store(*model);
       // Fill gradients with rank-dependent values.
       int k = 0;
       for (auto* g : model->grads()) {
@@ -275,7 +288,7 @@ TEST(Dist, BucketingDoesNotChangeResult) {
       }
       AllreduceOptions opts;
       opts.bucket_bytes = pass == 0 ? (1u << 22) : 64;  // 16 floats per bucket
-      msa::dist::allreduce_gradients(comm, *model, opts);
+      average_gradients(comm, store, opts);
       if (comm.rank() == 0) {
         std::lock_guard lock(m);
         for (auto* g : model->grads()) {
@@ -301,7 +314,8 @@ TEST(Dist, SimTimeGrowsWithGradientSize) {
       Rng rng(7);
       auto model = pass == 0 ? msa::nn::make_mlp(8, {8}, 2, rng)
                              : msa::nn::make_mlp(64, {128, 128}, 10, rng);
-      msa::dist::allreduce_gradients(comm, *model, {});
+      msa::nn::ParamStore store(*model);
+      average_gradients(comm, store, {});
     });
     times[static_cast<std::size_t>(pass)] = rt.max_sim_time();
   }

@@ -66,7 +66,7 @@ TEST(RocAuc, TiesGetMidrankCredit) {
 }
 
 TEST(RocAuc, RequiresBothClasses) {
-  EXPECT_THROW(roc_auc({0.1, 0.2}, {1, 1}), std::invalid_argument);
+  EXPECT_THROW((void)roc_auc({0.1, 0.2}, {1, 1}), std::invalid_argument);
 }
 
 }  // namespace

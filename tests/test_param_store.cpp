@@ -1,16 +1,16 @@
 // Tests for nn::ParamStore: slab relocation, aliasing invariants, flat
-// optimizer steps, slab-ranged allreduce equivalence against the seed
-// pack/scatter path, and slab checkpoint round-trips.
+// optimizer steps, the slab gradient reducer against the exact mean, and
+// slab checkpoint round-trips.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "comm/runtime.hpp"
 #include "dist/distributed.hpp"
-#include "dist/zero.hpp"
 #include "nn/layers_basic.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
@@ -230,59 +230,54 @@ TEST(Sequential, ReleaseLayerErasesSlot) {
   EXPECT_EQ(store.params().size(), ps.size());
 }
 
-// ---- slab allreduce vs pack/scatter reference --------------------------------
+// ---- slab gradient reducer vs the exact mean --------------------------------
 
-/// Fills both models' gradients with the same rank-dependent pattern.
-void fill_grads(msa::nn::Layer& model, int rank) {
-  float v = 0.01f * static_cast<float>(rank + 1);
-  for (Tensor* g : model.grads()) {
-    for (std::size_t j = 0; j < g->numel(); ++j) {
-      (*g)[j] = v;
-      v += 0.003f * static_cast<float>(rank + 2);
-    }
+/// Small integer gradient of slab element @p j on rank @p rank: every partial
+/// sum is exact in fp32 and fp16, and so is the mean over 4 ranks.
+float integer_grad(int rank, std::size_t j) {
+  return static_cast<float>(
+             (j * 7 + static_cast<std::size_t>(rank) * 3) % 17) -
+         8.0f;
+}
+
+void expect_reducer_matches_exact_mean(bool fp16) {
+  constexpr int P = 4;
+  for (const bool overlap : {false, true}) {
+    Runtime rt(Machine::homogeneous(P, 1, test_config(), ComputeProfile{}));
+    rt.run([&](Comm& comm) {
+      auto model = odd_model(41);
+      ParamStore store(*model);
+      const std::span<float> g = store.grad_span();
+      for (std::size_t j = 0; j < g.size(); ++j) {
+        g[j] = integer_grad(comm.rank(), j);
+      }
+
+      AllreduceOptions opts;
+      // 13 floats per bucket: every parameter tensor of the odd-sized MLP
+      // (28, 7, 40, ...) straddles at least one bucket boundary.
+      opts.bucket_bytes = 13 * sizeof(float);
+      opts.fp16_compression = fp16;
+      opts.overlap = overlap;
+      msa::dist::OverlappedReducer reducer(comm, store, opts);
+      reducer.begin_step();
+      reducer.finish();
+
+      for (std::size_t j = 0; j < g.size(); ++j) {
+        float sum = 0.0f;
+        for (int r = 0; r < P; ++r) sum += integer_grad(r, j);
+        ASSERT_EQ(g[j], sum / P)
+            << "elem " << j << " fp16=" << fp16 << " overlap=" << overlap;
+      }
+    });
   }
 }
 
-void expect_slab_allreduce_matches_reference(bool fp16) {
-  constexpr int P = 4;
-  Runtime rt(Machine::homogeneous(P, 1, test_config(), ComputeProfile{}));
-  rt.run([&](Comm& comm) {
-    // Reference: the seed's Layer-based pack/scatter path.
-    auto ref_model = odd_model(41);
-    // Slab path on an identically-initialised copy.
-    auto slab_model = odd_model(41);
-    ParamStore store(*slab_model);
-
-    fill_grads(*ref_model, comm.rank());
-    fill_grads(*slab_model, comm.rank());
-
-    AllreduceOptions opts;
-    // 13 floats per bucket: every parameter tensor of the odd-sized MLP
-    // (28, 7, 40, ...) straddles at least one bucket boundary.
-    opts.bucket_bytes = 13 * sizeof(float);
-    opts.fp16_compression = fp16;
-
-    msa::dist::allreduce_gradients(comm, *ref_model, opts);
-    msa::dist::allreduce_gradients(comm, store, opts);
-
-    auto ga = ref_model->grads();
-    auto gb = slab_model->grads();
-    ASSERT_EQ(ga.size(), gb.size());
-    for (std::size_t i = 0; i < ga.size(); ++i) {
-      for (std::size_t j = 0; j < ga[i]->numel(); ++j) {
-        ASSERT_EQ((*ga[i])[j], (*gb[i])[j])
-            << "tensor " << i << " elem " << j << " fp16=" << fp16;
-      }
-    }
-  });
+TEST(DistSlab, ReducerMatchesExactMeanFp32) {
+  expect_reducer_matches_exact_mean(false);
 }
 
-TEST(DistSlab, AllreduceMatchesPackScatterFp32) {
-  expect_slab_allreduce_matches_reference(false);
-}
-
-TEST(DistSlab, AllreduceMatchesPackScatterFp16) {
-  expect_slab_allreduce_matches_reference(true);
+TEST(DistSlab, ReducerMatchesExactMeanFp16) {
+  expect_reducer_matches_exact_mean(true);
 }
 
 TEST(DistSlab, BroadcastSlabMakesReplicasIdentical) {
@@ -295,38 +290,6 @@ TEST(DistSlab, BroadcastSlabMakesReplicasIdentical) {
     for (Tensor* p : model->params()) sum += p->sum();
     auto all = comm.allgather(std::span<const float>(&sum, 1));
     for (float v : all) EXPECT_EQ(v, all[0]);
-  });
-}
-
-TEST(DistSlab, ZeroSlabStepMatchesListStep) {
-  // ZeRO sharding over the slab (contiguous range copies) must be
-  // bit-identical to the per-tensor flatten/scatter list path.
-  constexpr int P = 3;  // does not divide the odd parameter count -> padding
-  Runtime rt(Machine::homogeneous(P, 1, test_config(), ComputeProfile{}));
-  rt.run([](Comm& comm) {
-    auto list_model = odd_model(45);
-    auto slab_model = odd_model(45);
-    ParamStore store(*slab_model);
-    msa::dist::ZeroOptimizer list_opt(
-        comm, std::make_unique<msa::nn::Adam>(1e-2));
-    msa::dist::ZeroOptimizer slab_opt(
-        comm, std::make_unique<msa::nn::Adam>(1e-2));
-
-    for (int s = 0; s < 3; ++s) {
-      fill_grads(*list_model, comm.rank() + 10 * s);
-      fill_grads(*slab_model, comm.rank() + 10 * s);
-      list_opt.step(list_model->params(), list_model->grads());
-      slab_opt.step(store);
-    }
-
-    auto pa = list_model->params();
-    auto pb = slab_model->params();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t i = 0; i < pa.size(); ++i) {
-      for (std::size_t j = 0; j < pa[i]->numel(); ++j) {
-        ASSERT_EQ((*pa[i])[j], (*pb[i])[j]) << i << "," << j;
-      }
-    }
   });
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "comm/runtime.hpp"
 #include "core/module.hpp"
@@ -72,9 +74,15 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvGeom{2, 10, 10, 5, 2, 2}),
     [](const auto& info) {
       const auto& g = info.param;
-      return "c" + std::to_string(g.c) + "h" + std::to_string(g.h) + "w" +
-             std::to_string(g.w) + "k" + std::to_string(g.k) + "s" +
-             std::to_string(g.stride) + "p" + std::to_string(g.pad);
+      std::string name;
+      for (const auto& [tag, v] : {std::pair{'c', g.c}, std::pair{'h', g.h},
+                                   std::pair{'w', g.w}, std::pair{'k', g.k},
+                                   std::pair{'s', g.stride},
+                                   std::pair{'p', g.pad}}) {
+        name += tag;
+        name += std::to_string(v);
+      }
+      return name;
     });
 
 TEST(GemmProperties, TransposeIdentity) {
@@ -292,7 +300,8 @@ TEST(SchedulerProperties, ConcurrentLoadNeverExceedsCapacity) {
   std::vector<Workload> jobs;
   for (int rep = 0; rep < 3; ++rep) {
     for (auto w : example_workload_mix()) {
-      w.name += "#" + std::to_string(rep);
+      w.name += '#';
+      w.name += std::to_string(rep);
       jobs.push_back(w);
     }
   }

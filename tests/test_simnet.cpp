@@ -83,7 +83,9 @@ TEST_P(CollectiveScalingTest, GceOffloadIsNearlyRankIndependent) {
   const double t_2 = m.allreduce(2, n, CollectiveAlgorithm::GceOffload);
   EXPECT_LT(t_p, t_2 * 3.0);  // grows only with log_radix(P) stages
   const double sw = m.allreduce(P, n, CollectiveAlgorithm::Ring);
-  if (P >= 4) EXPECT_LT(t_p, sw);
+  if (P >= 4) {
+    EXPECT_LT(t_p, sw);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, CollectiveScalingTest,
