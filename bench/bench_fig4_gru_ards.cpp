@@ -15,6 +15,7 @@
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/param_store.hpp"
 
 namespace {
 
@@ -25,6 +26,8 @@ double train_eval(nn::Sequential& model, const data::IcuDataset& train,
                   const data::IcuDataset& test, double lr,
                   std::size_t epochs) {
   nn::Adam opt(lr);
+  nn::ParamStore store(model);
+  store.attach_optimizer(opt);
   const std::size_t n = train.windows.dim(0);
   const std::size_t batch = 16;
   const std::size_t stride = train.windows.dim(1) * train.windows.dim(2);
@@ -36,11 +39,11 @@ double train_eval(nn::Sequential& model, const data::IcuDataset& train,
                 train.windows.data() + (at + batch) * stride, xb.data());
       std::copy(train.targets.data() + at, train.targets.data() + at + batch,
                 yb.data());
-      model.zero_grads();
+      store.zero_grads();
       Tensor pred = model.forward(xb, true);
       auto res = nn::mae_loss(pred, yb);
       model.backward(res.grad);
-      opt.step(model.params(), model.grads());
+      store.step(opt);
     }
   }
   Tensor pred = model.forward(test.windows, false);

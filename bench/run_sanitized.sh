@@ -5,7 +5,8 @@
 # into shared buffers, exactly the kind of code sanitizers exist for.  The
 # suite includes the CommAsync/Overlap tests, so the progress engine's
 # deferred closures (captured Comm snapshots, wire buffers held across the
-# backward pass) get lifetime-checked here too.
+# backward pass) get lifetime-checked here too.  The whole tree is built
+# because the suite's bench_gate runs the bench binaries.
 #
 # Usage: bench/run_sanitized.sh
 # Env:   BUILD_DIR (default build-asan), MSA_THREADS (default: all cores)
@@ -16,7 +17,7 @@ BUILD=${BUILD_DIR:-build-asan}
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMSA_SANITIZE=ON \
   -DMSA_OBS=ON >/dev/null
-cmake --build "$BUILD" -j --target msa_tests >/dev/null
+cmake --build "$BUILD" -j "$(nproc)" >/dev/null
 
 # halt_on_error so a sanitizer report fails the run rather than scrolling by.
 export ASAN_OPTIONS=${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}

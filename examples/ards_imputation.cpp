@@ -13,6 +13,7 @@
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/param_store.hpp"
 
 namespace {
 
@@ -24,6 +25,8 @@ double train_and_eval(msa::nn::Sequential& model, const Tensor& x_train,
                       const Tensor& y_test, std::size_t epochs,
                       const char* name, double lr) {
   msa::nn::Adam opt(lr);
+  msa::nn::ParamStore store(model);
+  store.attach_optimizer(opt);
   const std::size_t n = x_train.dim(0);
   const std::size_t batch = 16;
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
@@ -36,11 +39,11 @@ double train_and_eval(msa::nn::Sequential& model, const Tensor& x_train,
       std::copy(x_train.data() + at * stride,
                 x_train.data() + (at + batch) * stride, xb.data());
       std::copy(y_train.data() + at, y_train.data() + at + batch, yb.data());
-      model.zero_grads();
+      store.zero_grads();
       Tensor pred = model.forward(xb, true);
       auto res = msa::nn::mae_loss(pred, yb);
       model.backward(res.grad);
-      opt.step(model.params(), model.grads());
+      store.step(opt);
       loss_sum += res.loss;
       ++steps;
     }

@@ -12,6 +12,7 @@
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/param_store.hpp"
 
 namespace {
 
@@ -35,6 +36,8 @@ Tensor pixels_from(const msa::data::ImageDataset& ds) {
 double train_autoencoder(msa::nn::Sequential& ae, const Tensor& pixels,
                          std::size_t epochs) {
   msa::nn::Adam opt(1e-3);
+  msa::nn::ParamStore store(ae);
+  store.attach_optimizer(opt);
   const std::size_t n = pixels.dim(0), d = pixels.dim(1);
   const std::size_t batch = 64;
   double last = 0.0;
@@ -45,11 +48,11 @@ double train_autoencoder(msa::nn::Sequential& ae, const Tensor& pixels,
       Tensor xb({batch, d});
       std::copy(pixels.data() + at * d, pixels.data() + (at + batch) * d,
                 xb.data());
-      ae.zero_grads();
+      store.zero_grads();
       Tensor recon = ae.forward(xb, true);
       auto res = msa::nn::mse_loss(recon, xb);
       ae.backward(res.grad);
-      opt.step(ae.params(), ae.grads());
+      store.step(opt);
       loss_sum += res.loss;
       ++steps;
     }

@@ -364,7 +364,7 @@ class Comm {
     // Receive from parent, then forward to children, in virtual rank space.
     if (vrank != 0) {
       const int parent = actual_rank(parent_of(vrank), root);
-      recv_internal(data, parent, tag);
+      recv(data, parent, tag);
     }
     for (int child : children_of(vrank)) {
       send(std::span<const T>(data.data(), data.size()),
@@ -384,7 +384,7 @@ class Comm {
     std::vector<T> incoming(data.size());
     // Children first (deepest subtrees), then send partial to parent.
     for (int child : children_of(vrank)) {
-      recv_internal(std::span<T>(incoming), actual_rank(child, root), tag);
+      recv(std::span<T>(incoming), actual_rank(child, root), tag);
       for (std::size_t i = 0; i < data.size(); ++i) {
         data[i] = apply_reduce(op, data[i], incoming[i]);
       }
@@ -426,36 +426,20 @@ class Comm {
   /// ordered by rank.  All contributions must have equal size.
   template <typename T>
   std::vector<T> allgather(std::span<const T> mine) {
-    obs::ScopedSpan span(obs::Category::Comm, "allgather", world_rank(),
-                         &clock(), mine.size_bytes(), 0, comm_id_);
-    const int P = size();
     const std::size_t n = mine.size();
-    std::vector<T> out(n * static_cast<std::size_t>(P));
+    std::vector<T> out(n * static_cast<std::size_t>(size()));
     std::copy(mine.begin(), mine.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(n * static_cast<std::size_t>(rank())));
-    if (P == 1) return out;
-    const int tag = next_coll_tag();
-    const int right = (rank() + 1) % P;
-    const int left = (rank() + P - 1) % P;
-    // Pass blocks around the ring P-1 times.
-    int have = rank();  // block index we most recently obtained
-    for (int step = 0; step < P - 1; ++step) {
-      std::span<const T> outgoing(out.data() + n * static_cast<std::size_t>(have), n);
-      send(outgoing, right, tag);
-      const int incoming = (have + P - 1) % P;
-      std::span<T> in_block(out.data() + n * static_cast<std::size_t>(incoming), n);
-      recv_internal(in_block, left, tag);
-      have = incoming;
-    }
+              out.begin() + static_cast<std::ptrdiff_t>(
+                                n * static_cast<std::size_t>(rank())));
+    allgather_inplace(std::span<T>(out), n);
     return out;
   }
 
   /// In-place ring allgather: @p data holds size()*chunk elements; on entry
   /// this rank's chunk [rank*chunk, (rank+1)*chunk) carries its contribution,
-  /// on return every chunk holds its owner's contribution.  Same ring (and
-  /// hence same simulated cost) as allgather(), but gathers straight into the
-  /// caller's buffer — the no-copy counterpart for destinations that are
-  /// already contiguous slabs (e.g. ZeRO's parameter gather).
+  /// on return every chunk holds its owner's contribution.  allgather() is
+  /// this ring over a fresh buffer; destinations that are already contiguous
+  /// slabs (e.g. ZeRO's parameter gather) call it directly.
   template <typename T>
   void allgather_inplace(std::span<T> data, std::size_t chunk) {
     obs::ScopedSpan span(obs::Category::Comm, "allgather", world_rank(),
@@ -476,7 +460,7 @@ class Comm {
       const int incoming = (have + P - 1) % P;
       std::span<T> in_block(
           data.data() + chunk * static_cast<std::size_t>(incoming), chunk);
-      recv_internal(in_block, left, tag);
+      recv(in_block, left, tag);
       have = incoming;
     }
   }
@@ -496,7 +480,7 @@ class Comm {
     std::vector<T> packed(mine.begin(), mine.end());  // block vrank..subtree
     std::vector<int> block_vranks{vrank};
     for (int child : children_of(vrank)) {
-      auto sub = recv_any_size_internal<T>(actual_rank(child, root), tag);
+      auto sub = recv_any_size<T>(actual_rank(child, root), tag);
       packed.insert(packed.end(), sub.begin(), sub.end());
       const int subtree = subtree_size(child, P);
       for (int i = 0; i < subtree; ++i) block_vranks.push_back(child + i);
@@ -535,7 +519,7 @@ class Comm {
                             all.begin() + static_cast<std::ptrdiff_t>(chunk * static_cast<std::size_t>(root + 1)));
     }
     std::vector<T> mine(chunk);
-    recv_internal(std::span<T>(mine), root, tag);
+    recv(std::span<T>(mine), root, tag);
     return mine;
   }
 
@@ -568,7 +552,7 @@ class Comm {
       auto in_chunk = chunk_span(rank() - step - 2);
       send(std::span<const T>(out_chunk.data(), out_chunk.size()), right, tag);
       std::span<T> in_buf(incoming.data(), chunk);
-      recv_internal(in_buf, left, tag);
+      recv(in_buf, left, tag);
       for (std::size_t i = 0; i < chunk; ++i) {
         in_chunk[i] = apply_reduce(op, in_chunk[i], in_buf[i]);
       }
@@ -604,7 +588,7 @@ class Comm {
            to, tag);
       std::span<T> in(out.data() + chunk * static_cast<std::size_t>(from),
                       chunk);
-      recv_internal(in, from, tag);
+      recv(in, from, tag);
     }
     return out;
   }
@@ -823,11 +807,6 @@ class Comm {
   /// than "any failure anywhere".
   [[nodiscard]] bool recv_abandoned(int src) const;
 
-  template <typename T>
-  void recv_internal(std::span<T> out, int src, int tag) {
-    recv(out, src, tag);
-  }
-
   /// Snapshot this communicator for a deferred body and advance the
   /// original's collective-tag sequence past the snapshot's window (8 tags
   /// covers any single composed collective here — the widest, tree allreduce
@@ -872,11 +851,6 @@ class Comm {
       std::memcpy(out.data(), env.payload.data(), env.payload.size());
     }
     return true;
-  }
-
-  template <typename T>
-  std::vector<T> recv_any_size_internal(int src, int tag) {
-    return recv_any_size<T>(src, tag);
   }
 
   /// Fresh tag for one collective call; negative space, advances per call.
@@ -975,7 +949,7 @@ void Comm::ring_allreduce(std::span<T> data, ReduceOp op) {
     auto in_chunk = chunk_span(rank() - step - 1);
     send(std::span<const T>(out_chunk.data(), out_chunk.size()), right, tag);
     std::span<T> in_buf(incoming.data(), in_chunk.size());
-    recv_internal(in_buf, left, tag);
+    recv(in_buf, left, tag);
     for (std::size_t i = 0; i < in_chunk.size(); ++i) {
       in_chunk[i] = apply_reduce(op, in_chunk[i], in_buf[i]);
     }
@@ -986,7 +960,7 @@ void Comm::ring_allreduce(std::span<T> data, ReduceOp op) {
     auto in_chunk = chunk_span(rank() - step);
     send(std::span<const T>(out_chunk.data(), out_chunk.size()), right, tag);
     std::span<T> in_buf(in_chunk.data(), in_chunk.size());
-    recv_internal(in_buf, left, tag);
+    recv(in_buf, left, tag);
   }
 }
 
@@ -1017,7 +991,7 @@ void Comm::rabenseifner_allreduce(std::span<T> data, ReduceOp op) {
     const std::size_t keep_lo = keep_low ? lo : mid;
     const std::size_t keep_hi = keep_low ? mid : hi;
     std::span<T> in_buf(incoming.data(), keep_hi - keep_lo);
-    recv_internal(in_buf, partner, tag);
+    recv(in_buf, partner, tag);
     for (std::size_t i = 0; i < in_buf.size(); ++i) {
       data[keep_lo + i] = apply_reduce(op, data[keep_lo + i], in_buf[i]);
     }
@@ -1033,7 +1007,7 @@ void Comm::rabenseifner_allreduce(std::span<T> data, ReduceOp op) {
     const bool i_am_low = (rank() & dist) == 0;
     const std::size_t other_lo = i_am_low ? hi : lo - width;
     std::span<T> in_buf(data.data() + other_lo, width);
-    recv_internal(in_buf, partner, tag);
+    recv(in_buf, partner, tag);
     lo = std::min(lo, other_lo);
     hi = lo + 2 * width;
   }

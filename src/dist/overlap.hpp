@@ -15,11 +15,9 @@
 // to exploit, and the caller reduces flat.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "comm/comm.hpp"
 
@@ -60,16 +58,17 @@ void hierarchical_allreduce(
   if (chunk > 0) {
     std::span<T> head(data.data(), chunk * static_cast<std::size_t>(P));
     // Intra reduce-scatter: my chunk (index = intra rank) now holds the
-    // group-local reduction.
-    std::vector<T> mine = topo.intra.reduce_scatter(head, chunk, op);
+    // group-local reduction, in place in head.
+    (void)topo.intra.reduce_scatter(head, chunk, op);
     // Cross-group reduction of my chunk only: 1/P of the payload crosses
     // the slow fabric.
-    topo.cross.allreduce(std::span<T>(mine), op, inter_alg);
+    topo.cross.allreduce(
+        head.subspan(static_cast<std::size_t>(topo.intra.rank()) * chunk,
+                     chunk),
+        op, inter_alg);
     // Intra allgather is ordered by intra rank, which is exactly the chunk
     // layout reduce_scatter used.
-    std::vector<T> gathered =
-        topo.intra.allgather(std::span<const T>(mine.data(), mine.size()));
-    std::copy(gathered.begin(), gathered.end(), head.begin());
+    topo.intra.allgather_inplace(head, chunk);
   }
   // Tail too small to chunk: flat tree over the world (tiny payload).
   const std::size_t tail = chunk * static_cast<std::size_t>(P);

@@ -30,8 +30,7 @@ void ZeroOptimizer::initialise(std::size_t total_elems) {
   } else {
     my_off_ = shard_elems_ * static_cast<std::size_t>(comm_.rank());
   }
-  param_shard_ = nn::Tensor({shard_elems_});
-  grad_shard_ = nn::Tensor({shard_elems_});
+  state_.assign(inner_->state_roles() * shard_elems_, 0.0f);
   initialised_ = true;
 }
 
@@ -48,6 +47,36 @@ void ZeroOptimizer::run_phase(std::uint64_t wire_bytes,
   }
 }
 
+template <typename T>
+void ZeroOptimizer::reduce_scatter_shards(std::span<T> data) {
+  if (hier_) {
+    HierarchicalComms topo = *hier_;
+    (void)topo.intra.reduce_scatter(data, chunk_intra_, comm::ReduceOp::Sum);
+    auto sub = data.subspan(
+        static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
+        chunk_intra_);
+    (void)topo.cross.reduce_scatter(sub, shard_elems_, comm::ReduceOp::Sum);
+  } else {
+    comm::Comm c = comm_;
+    (void)c.reduce_scatter(data, shard_elems_, comm::ReduceOp::Sum);
+  }
+}
+
+template <typename T>
+void ZeroOptimizer::allgather_shards(std::span<T> data) {
+  if (hier_) {
+    HierarchicalComms topo = *hier_;
+    auto sub = data.subspan(
+        static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
+        chunk_intra_);
+    topo.cross.allgather_inplace(sub, shard_elems_);
+    topo.intra.allgather_inplace(data, chunk_intra_);
+  } else {
+    comm::Comm c = comm_;
+    c.allgather_inplace(data, shard_elems_);
+  }
+}
+
 void ZeroOptimizer::sharded_update(std::span<float> params,
                                    std::span<float> grads) {
   static obs::Counter& reduced_bytes_metric =
@@ -55,122 +84,67 @@ void ZeroOptimizer::sharded_update(std::span<float> params,
   static obs::Counter& gathered_bytes_metric =
       obs::Registry::instance().counter("zero.gathered_bytes");
 
+  const bool multi = comm_.size() > 1;
+  const bool fp16 = options_.fp16_compression;
   const float inv_world = 1.0f / static_cast<float>(comm_.size());
-  const std::size_t wire_sz =
-      options_.fp16_compression ? sizeof(Half) : sizeof(float);
+  const std::size_t wire_sz = fp16 ? sizeof(Half) : sizeof(float);
   // Payload handed to the fabric per phase: the full span on the (single or
   // intra) pass plus the owned chunk on the cross pass.
   const std::uint64_t phase_bytes =
-      comm_.size() > 1
-          ? static_cast<std::uint64_t>(padded_ + (hier_ ? chunk_intra_ : 0)) *
-                wire_sz
-          : 0;
+      multi ? static_cast<std::uint64_t>(padded_ + (hier_ ? chunk_intra_ : 0)) *
+                  wire_sz
+            : 0;
 
   // ---- Phase 1: reduce-scatter the gradients; my shard ends up summed and
-  // scaled, in place, at [my_off_, my_off_ + shard_elems_).
-  run_phase(phase_bytes, [this, grads, inv_world]() {
-    comm::Comm c = comm_;
-    if (c.size() > 1) {
-      if (!options_.fp16_compression) {
-        if (hier_) {
-          HierarchicalComms topo = *hier_;
-          (void)topo.intra.reduce_scatter(grads, chunk_intra_,
-                                          comm::ReduceOp::Sum);
-          auto sub = grads.subspan(
-              static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
-              chunk_intra_);
-          (void)topo.cross.reduce_scatter(sub, shard_elems_,
-                                          comm::ReduceOp::Sum);
-        } else {
-          (void)c.reduce_scatter(grads, shard_elems_, comm::ReduceOp::Sum);
-        }
-        for (std::size_t i = 0; i < shard_elems_; ++i) {
-          grads[my_off_ + i] *= inv_world;
-        }
-        return;
-      }
+  // scaled, in place, at [my_off_, my_off_ + shard_elems_).  A single rank's
+  // "sum" is its local gradient.
+  run_phase(phase_bytes, [this, grads, inv_world, multi, fp16]() {
+    if (multi && fp16) {
       // fp16 wire: reduce in binary16 (same precision model as the fp16
       // gradient allreduce), unpack only the owned shard.
       wire_.resize(padded_);
       for (std::size_t i = 0; i < padded_; ++i) wire_[i] = Half(grads[i]);
-      const std::span<Half> w(wire_);
-      if (hier_) {
-        HierarchicalComms topo = *hier_;
-        (void)topo.intra.reduce_scatter(w, chunk_intra_, comm::ReduceOp::Sum);
-        auto sub =
-            w.subspan(static_cast<std::size_t>(topo.intra.rank()) *
-                          chunk_intra_,
-                      chunk_intra_);
-        (void)topo.cross.reduce_scatter(sub, shard_elems_,
-                                        comm::ReduceOp::Sum);
-      } else {
-        (void)c.reduce_scatter(w, shard_elems_, comm::ReduceOp::Sum);
-      }
+      reduce_scatter_shards(std::span<Half>(wire_));
       for (std::size_t i = 0; i < shard_elems_; ++i) {
         grads[my_off_ + i] = wire_[my_off_ + i].to_float() * inv_world;
       }
       return;
     }
-    // Single rank: the "sum" is the local gradient.
+    if (multi) reduce_scatter_shards(grads);
     for (std::size_t i = 0; i < shard_elems_; ++i) {
       grads[my_off_ + i] *= inv_world;
     }
   });
 
-  // ---- Phase 2: inner update rule on this rank's 1/P slice.  Under fp16
-  // the slice is a persistent fp32 master (seeded on first step), so wire
-  // quantisation never feeds back into the optimizer state.
-  const bool reuse_master = options_.fp16_compression && master_live_;
-  if (!reuse_master) {
-    for (std::size_t i = 0; i < shard_elems_; ++i) {
-      param_shard_[i] = params[my_off_ + i];
-    }
-  }
-  for (std::size_t i = 0; i < shard_elems_; ++i) {
-    grad_shard_[i] = grads[my_off_ + i];
-  }
-  std::vector<nn::Tensor*> ps = {&param_shard_};
-  std::vector<nn::Tensor*> gs = {&grad_shard_};
-  inner_->step(ps, gs);
-  master_live_ = true;
-  for (std::size_t i = 0; i < shard_elems_; ++i) {
-    params[my_off_ + i] = param_shard_[i];
+  // ---- Phase 2: the inner rule updates this rank's 1/P slice in place.
+  // Under fp16 it updates a persistent fp32 master instead (seeded from the
+  // parameters on the first step), so wire quantisation never feeds back
+  // into the optimizer state.
+  const std::span<float> shard = params.subspan(my_off_, shard_elems_);
+  const std::span<const float> grad_shard =
+      grads.subspan(my_off_, shard_elems_);
+  if (fp16) {
+    if (master_.empty()) master_.assign(shard.begin(), shard.end());
+    inner_->step(master_, grad_shard, state_);
+    std::copy(master_.begin(), master_.end(), shard.begin());
+  } else {
+    inner_->step(shard, grad_shard, state_);
   }
 
   // ---- Phase 3: allgather the updated shards, in place.  With fp16 every
   // replica (owner included) installs the wire-format values, so replicas
-  // stay bit-identical; the fp32 master stays in param_shard_.
-  run_phase(phase_bytes, [this, params]() {
-    comm::Comm c = comm_;
-    if (c.size() == 1) return;
-    if (!options_.fp16_compression) {
-      if (hier_) {
-        HierarchicalComms topo = *hier_;
-        auto sub = params.subspan(
-            static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
-            chunk_intra_);
-        topo.cross.allgather_inplace(sub, shard_elems_);
-        topo.intra.allgather_inplace(params, chunk_intra_);
-      } else {
-        c.allgather_inplace(params, shard_elems_);
-      }
+  // stay bit-identical; the fp32 master stays in master_.
+  run_phase(phase_bytes, [this, params, multi, fp16]() {
+    if (!multi) return;
+    if (!fp16) {
+      allgather_shards(params);
       return;
     }
     wire_.assign(padded_, Half{});
     for (std::size_t i = 0; i < shard_elems_; ++i) {
       wire_[my_off_ + i] = Half(params[my_off_ + i]);
     }
-    const std::span<Half> w(wire_);
-    if (hier_) {
-      HierarchicalComms topo = *hier_;
-      auto sub = w.subspan(
-          static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
-          chunk_intra_);
-      topo.cross.allgather_inplace(sub, shard_elems_);
-      topo.intra.allgather_inplace(w, chunk_intra_);
-    } else {
-      c.allgather_inplace(w, shard_elems_);
-    }
+    allgather_shards(std::span<Half>(wire_));
     for (std::size_t i = 0; i < padded_; ++i) params[i] = wire_[i].to_float();
   });
 

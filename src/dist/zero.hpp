@@ -35,10 +35,12 @@
 // contiguous slabs: the reduce-scatter uses the gradient slab as its ring
 // scratch (the slab is consumed — zero_grads() starts the next step anyway)
 // and the allgather lands updated parameters in place in the parameter
-// slab.  What remains is the rank's own 1/P shard staged into the inner
-// optimizer's tensors and, for fp16, the wire-format conversion buffer.
-// When the parameter count is not a multiple of the world size the step
-// pads through a scratch pair (one contiguous copy per role).
+// slab.  Between the two phases the inner rule updates this rank's 1/P range
+// of the parameter slab in place, with its state in a state_roles() x shard
+// buffer this optimizer owns; under fp16 it updates the fp32 master instead,
+// and a wire-format buffer carries both phases.  When the parameter count is not a
+// multiple of the world size the step pads through a scratch pair (one
+// contiguous copy per role).
 //
 // Wire traffic is accounted per step: cumulative payload bytes handed to
 // the fabric by each phase are available via bytes_reduced() /
@@ -109,6 +111,13 @@ class ZeroOptimizer {
   /// return params holds the allgathered updated parameters and grads is
   /// scratch.
   void sharded_update(std::span<float> params, std::span<float> grads);
+  /// Reduce-scatter @p data (padded_ elements, fp32 or binary16) so my
+  /// shard [my_off_, my_off_ + shard_elems_) holds the sum over ranks.
+  template <typename T>
+  void reduce_scatter_shards(std::span<T> data);
+  /// Allgather every rank's shard of @p data back to every rank, in place.
+  template <typename T>
+  void allgather_shards(std::span<T> data);
   /// Run one collective phase: deferred through the progress engine under
   /// options_.overlap, inline otherwise.
   void run_phase(std::uint64_t wire_bytes, std::function<void()> body);
@@ -122,10 +131,9 @@ class ZeroOptimizer {
   std::size_t shard_elems_ = 0;  // padded_ / P
   std::size_t chunk_intra_ = 0;  // padded_ / intra group size (hierarchical)
   std::size_t my_off_ = 0;       // my shard's offset in the padded space
-  nn::Tensor param_shard_;  // inner optimizer's view; fp32 master under fp16
-  nn::Tensor grad_shard_;   // this rank's reduced gradient slice
-  bool master_live_ = false;  // param_shard_ holds the persistent master
-  std::vector<float> gflat_;  // staging for a padded parameter space
+  std::vector<float> state_;   // inner rule's state for my shard, role-major
+  std::vector<float> master_;  // fp32 master of my shard (fp16 only)
+  std::vector<float> gflat_;   // staging for a padded parameter space
   std::vector<float> pflat_;
   std::vector<Half> wire_;  // fp16 wire-format scratch
   std::uint64_t bytes_reduced_ = 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "par/pool.hpp"
 
@@ -10,28 +11,23 @@ namespace msa::nn {
 namespace {
 // Parameter updates are elementwise, so chunked execution is deterministic.
 constexpr std::size_t kOptGrain = 1 << 14;
-
-void ensure_state(std::vector<Tensor>& state,
-                  const std::vector<Tensor*>& params) {
-  if (state.empty()) {
-    state.reserve(params.size());
-    for (const Tensor* p : params) state.emplace_back(Tensor::zeros(p->shape()));
-  } else if (state.size() != params.size()) {
-    throw std::invalid_argument("optimizer: parameter list changed size");
-  }
-}
 }  // namespace
 
-void Sgd::materialize_state(const std::vector<Tensor*>& params) {
-  ensure_state(velocity_, params);
+void Optimizer::check_layout(std::span<float> params,
+                             std::span<const float> grads,
+                             std::span<float> state) const {
+  if (grads.size() != params.size() ||
+      state.size() != state_roles() * params.size()) {
+    const std::string n = std::to_string(params.size());
+    throw std::invalid_argument("Optimizer::step: expected " + n +
+                                " grads and " + std::to_string(state_roles()) +
+                                " x " + n + " state elements");
+  }
 }
 
-bool Sgd::step_flat(std::span<float> params, std::span<float> grads,
-                    std::span<float> state) {
-  if (velocity_.empty() || state.size() != params.size() ||
-      grads.size() != params.size()) {
-    return false;
-  }
+void Sgd::step(std::span<float> params, std::span<const float> grads,
+               std::span<float> state) {
+  check_layout(params, grads, state);
   const auto lr = static_cast<float>(lr_);
   const auto mu = static_cast<float>(momentum_);
   const auto wd = static_cast<float>(weight_decay_);
@@ -48,47 +44,11 @@ bool Sgd::step_flat(std::span<float> params, std::span<float> grads,
                         p[j] -= lr * update;
                       }
                     });
-  return true;
 }
 
-void Sgd::step(const std::vector<Tensor*>& params,
-               const std::vector<Tensor*>& grads) {
-  if (params.size() != grads.size()) {
-    throw std::invalid_argument("Sgd::step: list size mismatch");
-  }
-  ensure_state(velocity_, params);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Tensor& p = *params[i];
-    const Tensor& g = *grads[i];
-    Tensor& v = velocity_[i];
-    const auto lr = static_cast<float>(lr_);
-    const auto mu = static_cast<float>(momentum_);
-    const auto wd = static_cast<float>(weight_decay_);
-    par::parallel_for(0, p.numel(), kOptGrain,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t j = b; j < e; ++j) {
-                          const float grad = g[j] + wd * p[j];
-                          v[j] = mu * v[j] + grad;
-                          const float update =
-                              nesterov_ ? grad + mu * v[j] : v[j];
-                          p[j] -= lr * update;
-                        }
-                      });
-  }
-}
-
-void Adam::materialize_state(const std::vector<Tensor*>& params) {
-  ensure_state(m_, params);
-  ensure_state(v_, params);
-}
-
-bool Adam::step_flat(std::span<float> params, std::span<float> grads,
-                     std::span<float> state) {
-  // ParamStore slab layout mirrors state_tensors(): [all m | all v].
-  if (m_.empty() || state.size() != 2 * params.size() ||
-      grads.size() != params.size()) {
-    return false;
-  }
+void Adam::step(std::span<float> params, std::span<const float> grads,
+                std::span<float> state) {
+  check_layout(params, grads, state);
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
@@ -110,39 +70,6 @@ bool Adam::step_flat(std::span<float> params, std::span<float> grads,
           p[j] -= lr * m[j] / (std::sqrt(v[j]) + eps);
         }
       });
-  return true;
-}
-
-void Adam::step(const std::vector<Tensor*>& params,
-                const std::vector<Tensor*>& grads) {
-  if (params.size() != grads.size()) {
-    throw std::invalid_argument("Adam::step: list size mismatch");
-  }
-  ensure_state(m_, params);
-  ensure_state(v_, params);
-  ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const auto lr = static_cast<float>(lr_ * std::sqrt(bc2) / bc1);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Tensor& p = *params[i];
-    const Tensor& g = *grads[i];
-    Tensor& m = m_[i];
-    Tensor& v = v_[i];
-    const auto b1 = static_cast<float>(beta1_);
-    const auto b2 = static_cast<float>(beta2_);
-    const auto wd = static_cast<float>(weight_decay_);
-    const auto eps = static_cast<float>(eps_);
-    par::parallel_for(
-        0, p.numel(), kOptGrain, [&](std::size_t b, std::size_t e) {
-          for (std::size_t j = b; j < e; ++j) {
-            const float grad = g[j] + wd * p[j];
-            m[j] = b1 * m[j] + (1.0f - b1) * grad;
-            v[j] = b2 * v[j] + (1.0f - b2) * grad * grad;
-            p[j] -= lr * m[j] / (std::sqrt(v[j]) + eps);
-          }
-        });
-  }
 }
 
 }  // namespace msa::nn

@@ -2,53 +2,32 @@
 // (the ARDS GRU recipe: lr 1e-4, Sec. IV-B).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
-#include "tensor/tensor.hpp"
-
 namespace msa::nn {
 
-using tensor::Tensor;
-
-/// Optimizer interface over parallel (param, grad) tensor lists.
+/// An element-wise update rule over flat parameter/gradient/state memory
+/// (the nn::ParamStore slab layout).  The rule owns no per-parameter memory:
+/// the caller holds state_roles() role-major state arrays of params.size()
+/// elements each (for Adam [all m | all v]) and hands them to every step().
+/// Only scalar state, such as Adam's step counter, lives in the optimizer.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  /// Apply one update step.  Lists must be stable across calls (state is
-  /// indexed positionally).
-  virtual void step(const std::vector<Tensor*>& params,
-                    const std::vector<Tensor*>& grads) = 0;
+  /// Per-parameter state arrays the rule needs (momentum: 1, Adam: 2).
+  [[nodiscard]] virtual std::size_t state_roles() const = 0;
 
-  /// Allocate per-parameter state for @p params now (normally it appears
-  /// lazily on the first step()).  ParamStore calls this before relocating
-  /// the state tensors into the optimizer-state slab.
-  virtual void materialize_state(const std::vector<Tensor*>& params) {
-    (void)params;
-  }
-
-  /// Flat-slab update over contiguous parameter/gradient/state memory
-  /// (ParamStore layout: @p state is the state_tensors() concatenation, so
-  /// for Adam [all m | all v]).  Element-wise, hence bit-identical to the
-  /// per-tensor step().  Returns false when the optimizer has no flat path
-  /// or the spans do not match its state; the caller then falls back.
-  virtual bool step_flat(std::span<float> params, std::span<float> grads,
-                         std::span<float> state) {
-    (void)params;
-    (void)grads;
-    (void)state;
-    return false;
-  }
+  /// Apply one update step in place.  @p state holds state_roles() arrays
+  /// of params.size() elements, role-major.  Throws std::invalid_argument
+  /// when @p grads or @p state do not match that layout.
+  virtual void step(std::span<float> params, std::span<const float> grads,
+                    std::span<float> state) = 0;
 
   void set_lr(double lr) { lr_ = lr; }
   [[nodiscard]] double lr() const { return lr_; }
-
-  /// Mutable views of the optimizer's per-parameter state tensors
-  /// (momentum buffers, Adam moments, ...) for checkpoint/restart — the
-  /// NAM module's flagship use case (paper ref [12]).  Empty before the
-  /// first step().
-  virtual std::vector<Tensor*> state_tensors() { return {}; }
 
   /// Scalar state (step counters etc.) for checkpointing.
   [[nodiscard]] virtual std::vector<double> scalar_state() const { return {}; }
@@ -56,6 +35,9 @@ class Optimizer {
 
  protected:
   explicit Optimizer(double lr) : lr_(lr) {}
+  /// Throws std::invalid_argument unless the spans match step()'s layout.
+  void check_layout(std::span<float> params, std::span<const float> grads,
+                    std::span<float> state) const;
   double lr_;
 };
 
@@ -69,23 +51,14 @@ class Sgd : public Optimizer {
         weight_decay_(weight_decay),
         nesterov_(nesterov) {}
 
-  void step(const std::vector<Tensor*>& params,
-            const std::vector<Tensor*>& grads) override;
-
-  void materialize_state(const std::vector<Tensor*>& params) override;
-  bool step_flat(std::span<float> params, std::span<float> grads,
-                 std::span<float> state) override;
-
-  std::vector<Tensor*> state_tensors() override {
-    std::vector<Tensor*> out;
-    for (auto& v : velocity_) out.push_back(&v);
-    return out;
-  }
+  /// One role: the velocity.
+  [[nodiscard]] std::size_t state_roles() const override { return 1; }
+  void step(std::span<float> params, std::span<const float> grads,
+            std::span<float> state) override;
 
  private:
   double momentum_, weight_decay_;
   bool nesterov_;
-  std::vector<Tensor> velocity_;
 };
 
 /// ADAM (Kingma & Ba) with bias correction.
@@ -99,19 +72,10 @@ class Adam : public Optimizer {
         eps_(eps),
         weight_decay_(weight_decay) {}
 
-  void step(const std::vector<Tensor*>& params,
-            const std::vector<Tensor*>& grads) override;
-
-  void materialize_state(const std::vector<Tensor*>& params) override;
-  bool step_flat(std::span<float> params, std::span<float> grads,
-                 std::span<float> state) override;
-
-  std::vector<Tensor*> state_tensors() override {
-    std::vector<Tensor*> out;
-    for (auto& m : m_) out.push_back(&m);
-    for (auto& v : v_) out.push_back(&v);
-    return out;
-  }
+  /// Two roles: the first moment m, then the second moment v.
+  [[nodiscard]] std::size_t state_roles() const override { return 2; }
+  void step(std::span<float> params, std::span<const float> grads,
+            std::span<float> state) override;
 
   [[nodiscard]] std::vector<double> scalar_state() const override {
     return {static_cast<double>(t_)};
@@ -122,7 +86,6 @@ class Adam : public Optimizer {
 
  private:
   double beta1_, beta2_, eps_, weight_decay_;
-  std::vector<Tensor> m_, v_;
   long t_ = 0;
 };
 

@@ -9,10 +9,10 @@ namespace msa::nn {
 namespace {
 
 /// Moves each tensor's payload into @p slab at consecutive offsets and
-/// rebinds the tensor to be a view of that range.  Returns the element
-/// count consumed.  Layout (registration order) is the caller's contract.
-std::size_t relocate_into(const std::shared_ptr<tensor::Storage>& slab,
-                          const std::vector<Tensor*>& tensors) {
+/// rebinds the tensor to be a view of that range.  Layout (registration
+/// order) is the caller's contract.
+void relocate_into(const std::shared_ptr<tensor::Storage>& slab,
+                   const std::vector<Tensor*>& tensors) {
   std::size_t offset = 0;
   for (Tensor* t : tensors) {
     const std::size_t n = t->numel();
@@ -20,7 +20,6 @@ std::size_t relocate_into(const std::shared_ptr<tensor::Storage>& slab,
     *t = Tensor::view_of(slab, offset, t->shape());
     offset += n;
   }
-  return offset;
 }
 
 }  // namespace
@@ -65,21 +64,16 @@ std::size_t ParamStore::index_of_grad(const Tensor* grad) const {
 }
 
 void ParamStore::attach_optimizer(Optimizer& opt) {
-  opt.materialize_state(params_);
-  const auto state = opt.state_tensors();
-  std::size_t state_total = 0;
-  for (const Tensor* t : state) state_total += t->numel();
-  opt_slab_ = std::make_shared<tensor::Storage>(state_total);
-  relocate_into(opt_slab_, state);
+  opt_slab_ = std::make_shared<tensor::Storage>(opt.state_roles() * total_);
   attached_ = &opt;
 }
 
 void ParamStore::step(Optimizer& opt) {
-  if (attached_ == &opt &&
-      opt.step_flat(param_span(), grad_span(), opt_span())) {
-    return;
+  if (attached_ != &opt) {
+    throw std::logic_error(
+        "ParamStore::step: optimizer is not attached to this store");
   }
-  opt.step(params_, grads_);
+  opt.step(param_span(), grad_span(), opt_span());
 }
 
 }  // namespace msa::nn

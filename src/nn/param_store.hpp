@@ -12,14 +12,16 @@
 //   * dist::OverlappedReducer reduces slab ranges in place — buckets are
 //     offsets, there is nothing to pack or scatter,
 //   * zero_grads() is one fill over the gradient slab,
-//   * Sgd/Adam updates are single parallel_for sweeps over flat slabs, and
+//   * an optimizer step is one parallel_for sweep over the param, grad and
+//     optimizer-state slabs — the state slab is the only per-parameter
+//     memory an optimizer has, and
 //   * checkpoints stream each slab with one contiguous write/read.
 //
 // Invariants: registration order (and therefore the slab layout) is fixed by
 // the layer tree; slabs never reallocate, so the cached Tensor* lists and
 // every raw pointer into a slab stay valid for the store's lifetime.  That
 // pointer stability is what lets optimizer state be positional: element j of
-// the state slab forever corresponds to element j of the parameter slab.
+// each state role forever corresponds to element j of the parameter slab.
 #pragma once
 
 #include <cstddef>
@@ -84,16 +86,14 @@ class ParamStore {
   /// One fill over the gradient slab.
   void zero_grads() { grad_slab_->fill(0.0f); }
 
-  /// Materialises @p opt's per-parameter state for this parameter list and
-  /// relocates it into the optimizer-state slab (state_tensors() order, so
-  /// e.g. Adam's slab is [all m | all v]).  Enables the flat step() path.
+  /// Allocates @p opt's zeroed optimizer-state slab: opt.state_roles()
+  /// role-major blocks of size() elements (Adam's is [all m | all v]).
   void attach_optimizer(Optimizer& opt);
 
   [[nodiscard]] Optimizer* attached_optimizer() const { return attached_; }
 
-  /// Optimizer step: the flat slab path when @p opt is attached, otherwise
-  /// the per-tensor fallback.  Numerically identical either way (updates
-  /// are element-wise).
+  /// One update of the parameter slab from the gradient and state slabs.
+  /// Throws std::logic_error unless @p opt is the attached optimizer.
   void step(Optimizer& opt);
 
  private:

@@ -287,29 +287,6 @@ std::vector<Tensor> load_tensors(const std::string& path) {
   return out;
 }
 
-void save_parameters(const std::string& path, Layer& model) {
-  std::vector<const Tensor*> tensors;
-  for (Tensor* p : model.params()) tensors.push_back(p);
-  save_tensors(path, tensors);
-}
-
-void load_parameters(const std::string& path, Layer& model) {
-  const auto loaded = load_tensors(path);
-  auto params = model.params();
-  if (loaded.size() != params.size()) {
-    throw CheckpointError(path, "holds " + std::to_string(loaded.size()) +
-                                    " parameters, model has " +
-                                    std::to_string(params.size()));
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (!loaded[i].same_shape(*params[i])) {
-      throw CheckpointError(path,
-                            "shape mismatch at tensor " + std::to_string(i));
-    }
-    *params[i] = loaded[i];
-  }
-}
-
 void save_parameters(const std::string& path, ParamStore& store) {
   const std::span<float> slab = store.param_span();
   save_spans(path, {std::span<const float>(slab.data(), slab.size())});
@@ -324,18 +301,6 @@ void load_parameters(const std::string& path, ParamStore& store) {
   }
   read_tensor_into(in, store.param_span(), "parameter slab");
   in.finish();
-}
-
-Checkpoint save_checkpoint(const std::string& prefix, Layer& model,
-                           Optimizer& optimizer) {
-  Checkpoint ckpt{prefix + ".params.bin", prefix + ".optstate.bin"};
-  save_parameters(ckpt.params_path, model);
-  std::vector<const Tensor*> state;
-  for (Tensor* t : optimizer.state_tensors()) state.push_back(t);
-  const Tensor scalar_tensor = pack_scalar_state(optimizer);
-  state.push_back(&scalar_tensor);
-  save_tensors(ckpt.optimizer_path, state);
-  return ckpt;
 }
 
 Checkpoint save_checkpoint(const std::string& prefix, ParamStore& store,
@@ -380,32 +345,6 @@ void load_checkpoint(const Checkpoint& ckpt, ParamStore& store,
   }
   in.finish();
   unpack_scalar_state(scalar_tensor, optimizer);
-}
-
-void load_checkpoint(const Checkpoint& ckpt, Layer& model,
-                     Optimizer& optimizer) {
-  load_parameters(ckpt.params_path, model);
-  auto loaded = load_tensors(ckpt.optimizer_path);
-  if (loaded.empty()) {
-    throw CheckpointError(ckpt.optimizer_path, "empty optimizer state");
-  }
-  // Last tensor holds the scalar state.
-  unpack_scalar_state(loaded.back(), optimizer);
-  auto state = optimizer.state_tensors();
-  if (state.size() != loaded.size() - 1) {
-    throw CheckpointError(
-        ckpt.optimizer_path,
-        "optimizer state layout mismatch (did the optimizer take a first "
-        "step before restore?)");
-  }
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    if (!loaded[i].same_shape(*state[i])) {
-      throw CheckpointError(
-          ckpt.optimizer_path,
-          "optimizer state shape mismatch at tensor " + std::to_string(i));
-    }
-    *state[i] = loaded[i];
-  }
 }
 
 void verify_checkpoint(const Checkpoint& ckpt) {

@@ -38,17 +38,11 @@ void save_tensors(const std::string& path,
 /// Read all tensors from @p path.
 [[nodiscard]] std::vector<Tensor> load_tensors(const std::string& path);
 
-/// Save just the model parameters.
-void save_parameters(const std::string& path, Layer& model);
-
-/// Load parameters into @p model; shapes must match exactly.
-void load_parameters(const std::string& path, Layer& model);
-
-/// Slab path: stream the parameter slab as ONE contiguous 1-D tensor
-/// (layout fixed by registration order, see nn::ParamStore).
+/// Stream the parameter slab as ONE contiguous 1-D tensor (layout fixed by
+/// registration order, see nn::ParamStore).
 void save_parameters(const std::string& path, ParamStore& store);
 
-/// Restore a slab archive written by the overload above; the element count
+/// Restore a slab archive written by save_parameters; the element count
 /// must match the store's layout.  One contiguous read into the slab.
 void load_parameters(const std::string& path, ParamStore& store);
 
@@ -58,24 +52,15 @@ struct Checkpoint {
   std::string optimizer_path;
 };
 
-/// Saves model parameters and optimizer state (if any) under @p prefix.
-[[nodiscard]] Checkpoint save_checkpoint(const std::string& prefix,
-                                         Layer& model, Optimizer& optimizer);
-
-/// Restores a checkpoint written by save_checkpoint.  The optimizer must
-/// have taken at least one step (so its state layout exists) or be stateless.
-void load_checkpoint(const Checkpoint& ckpt, Layer& model,
-                     Optimizer& optimizer);
-
-/// Slab checkpoint: parameter slab and optimizer-state slab are each
-/// streamed as one contiguous tensor (+ the scalar-state trailer).  The
+/// Saves the parameter slab and the optimizer-state slab under @p prefix,
+/// each streamed as one contiguous tensor (+ the scalar-state trailer).  The
 /// optimizer must be attached to @p store (ParamStore::attach_optimizer).
 [[nodiscard]] Checkpoint save_checkpoint(const std::string& prefix,
                                          ParamStore& store,
                                          Optimizer& optimizer);
 
-/// Restores a slab checkpoint bit-exactly: weights, optimizer tensor state,
-/// and scalar counters.  @p store must have the same layout (same model,
+/// Restores a checkpoint bit-exactly: weights, optimizer-state slab, and
+/// scalar counters.  @p store must have the same layout (same model,
 /// same registration order) and the same optimizer attached.
 void load_checkpoint(const Checkpoint& ckpt, ParamStore& store,
                      Optimizer& optimizer);

@@ -9,12 +9,13 @@
 // element offset.  Ordinary tensors own a private Storage and keep full
 // value semantics: copies are deep, exactly as when the class wrapped a
 // std::vector.  Views created with view_of() alias a caller-provided
-// Storage instead; they are how nn::ParamStore lays every parameter,
-// gradient, and optimizer-state tensor into one contiguous slab per role
-// while layers keep operating on their own (now aliased) members.  Copy
-// *assignment* onto a view writes through to the aliased range rather than
-// rebinding, so code like checkpoint restore (`*param = loaded`) fills the
-// slab in place; move assignment rebinds, which is what relocation uses.
+// Storage instead; they are how nn::ParamStore lays every parameter and
+// gradient tensor into one contiguous slab per role while layers keep
+// operating on their own (now aliased) members.  Copy *assignment* onto a
+// view writes through to the aliased range rather than rebinding, so
+// assigning a whole tensor onto a relocated layer member (`*param = value`)
+// fills the slab in place; move assignment rebinds, which is what
+// relocation uses.
 #pragma once
 
 #include <cstddef>

@@ -137,13 +137,15 @@ std::vector<float> train_serial(int steps, const Tensor& x_full,
                                 const std::vector<std::int32_t>& y_full) {
   Rng rng(7);
   auto model = msa::nn::make_mlp(6, {10}, 3, rng);
+  msa::nn::ParamStore store(*model);
   msa::nn::Sgd opt(0.1, 0.9);
+  store.attach_optimizer(opt);
   for (int s = 0; s < steps; ++s) {
-    model->zero_grads();
+    store.zero_grads();
     Tensor logits = model->forward(x_full, true);
     auto res = msa::nn::softmax_cross_entropy(logits, y_full);
     model->backward(res.grad);
-    opt.step(model->params(), model->grads());
+    store.step(opt);
   }
   std::vector<float> out;
   for (auto* p : model->params()) {

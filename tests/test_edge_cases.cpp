@@ -1,6 +1,8 @@
 // Edge-case and error-path coverage across modules.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "comm/runtime.hpp"
 #include "core/machine_builder.hpp"
 #include "core/module.hpp"
@@ -157,38 +159,43 @@ TEST(LayerEdge, GradientsAccumulateAcrossBackwards) {
 
 // ---- optimizers ----------------------------------------------------------------
 
-TEST(OptimizerEdge, RejectsChangedParameterList) {
-  Rng rng(6);
-  msa::nn::Adam opt(1e-3);
-  Tensor p1({4}), g1({4});
-  std::vector<Tensor*> ps = {&p1}, gs = {&g1};
-  opt.step(ps, gs);
-  Tensor p2({4}), g2({4});
-  ps.push_back(&p2);
-  gs.push_back(&g2);
-  EXPECT_THROW(opt.step(ps, gs), std::invalid_argument);
+TEST(OptimizerEdge, RejectsMismatchedSpans) {
+  std::vector<float> p(4, 1.0f), g(4, 0.5f), short_g(3, 0.5f);
+  std::vector<float> one_role(4), two_roles(8), three_roles(12);
+  msa::nn::Adam adam(1e-3);
+  msa::nn::Sgd sgd(0.1, 0.9);
+  // Grads shorter than params.
+  EXPECT_THROW(adam.step(p, short_g, two_roles), std::invalid_argument);
+  EXPECT_THROW(sgd.step(p, short_g, one_role), std::invalid_argument);
+  // State that is not state_roles() x params.
+  EXPECT_THROW(adam.step(p, g, one_role), std::invalid_argument);
+  EXPECT_THROW(adam.step(p, g, three_roles), std::invalid_argument);
+  EXPECT_THROW(sgd.step(p, g, two_roles), std::invalid_argument);
+  // A rejected step touches nothing, not even Adam's step counter.
+  EXPECT_EQ(p, std::vector<float>(4, 1.0f));
+  EXPECT_EQ(adam.scalar_state(), std::vector<double>{0.0});
+  adam.step(p, g, two_roles);
+  EXPECT_EQ(adam.scalar_state(), std::vector<double>{1.0});
 }
 
 TEST(OptimizerEdge, WeightDecayShrinksWeights) {
   Tensor p = Tensor::full({4}, 1.0f);
   Tensor g = Tensor::zeros({4});
+  std::vector<float> velocity(4);
   msa::nn::Sgd opt(0.1, 0.0, /*weight_decay=*/0.5);
-  std::vector<Tensor*> ps = {&p}, gs = {&g};
-  opt.step(ps, gs);
+  opt.step(p.flat(), g.flat(), velocity);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(p[i], 0.95f, 1e-6f);
 }
 
 TEST(OptimizerEdge, NesterovDiffersFromPlainMomentum) {
-  Rng rng(8);
   Tensor p1 = Tensor::full({3}, 1.0f), p2 = p1;
   Tensor g = Tensor::full({3}, 0.1f);
+  std::vector<float> v1(3), v2(3);
   msa::nn::Sgd plain(0.1, 0.9, 0.0, false);
   msa::nn::Sgd nesterov(0.1, 0.9, 0.0, true);
-  std::vector<Tensor*> gs = {&g};
-  std::vector<Tensor*> ps1 = {&p1}, ps2 = {&p2};
   for (int i = 0; i < 3; ++i) {
-    plain.step(ps1, gs);
-    nesterov.step(ps2, gs);
+    plain.step(p1.flat(), g.flat(), v1);
+    nesterov.step(p2.flat(), g.flat(), v2);
   }
   EXPECT_NE(p1[0], p2[0]);
   EXPECT_LT(p2[0], p1[0]);  // Nesterov looks ahead, moves further downhill

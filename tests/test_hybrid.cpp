@@ -223,13 +223,15 @@ TEST(Hybrid, MatchesSerialGradientAccumulationAcrossThreadCounts) {
 
   // Serial reference: per-replica gradient accumulation, replica average.
   auto ref = small_mlp();
+  ParamStore ref_store(*ref);
   msa::nn::Sgd ref_opt(0.1, 0.9);
+  ref_store.attach_optimizer(ref_opt);
   float ref_loss = 0.0f;
   for (int s = 0; s < kSteps; ++s) {
     std::array<std::vector<float>, 2> acc;
     std::array<float, 2> replica_loss{};
     for (auto r = 0u; r < 2; ++r) {
-      ref->zero_grads();
+      ref_store.zero_grads();
       float loss_sum = 0.0f;
       for (int mb = 0; mb < kMicro; ++mb) {
         Tensor logits =
@@ -252,7 +254,7 @@ TEST(Hybrid, MatchesSerialGradientAccumulationAcrossThreadCounts) {
         (*g)[j] = (acc[0][at] + acc[1][at]) * 0.5f;
       }
     }
-    ref_opt.step(ref->params(), ref->grads());
+    ref_store.step(ref_opt);
   }
   const std::vector<float> ref_params = flatten_params(*ref);
 
@@ -374,6 +376,12 @@ TEST(HybridZero, OptionCombosMatchPlainStep) {
     o_hier.hierarchical = true;
     ZeroOptimizer z_hier(comm, std::make_unique<msa::nn::Adam>(1e-2), o_hier);
 
+    auto m_fp16 = small_mlp();
+    ParamStore s_fp16(*m_fp16);
+    AllreduceOptions o_fp16;
+    o_fp16.fp16_compression = true;
+    ZeroOptimizer z_fp16(comm, std::make_unique<msa::nn::Adam>(1e-2), o_fp16);
+
     auto m_combo = small_mlp();
     ParamStore s_combo(*m_combo);
     AllreduceOptions o_combo;
@@ -388,22 +396,27 @@ TEST(HybridZero, OptionCombosMatchPlainStep) {
       fill_grads(*ref_model, seed);
       fill_grads(*m_overlap, seed);
       fill_grads(*m_hier, seed);
+      fill_grads(*m_fp16, seed);
       fill_grads(*m_combo, seed);
       ref_opt.step(s_ref);
       z_overlap.step(s_overlap);
       z_hier.step(s_hier);
+      z_fp16.step(s_fp16);
       z_combo.step(s_combo);
     }
 
     const auto ref_params = flatten_params(*ref_model);
     const auto overlap_params = flatten_params(*m_overlap);
     const auto hier_params = flatten_params(*m_hier);
+    const auto fp16_params = flatten_params(*m_fp16);
     const auto combo_params = flatten_params(*m_combo);
     ASSERT_EQ(overlap_params.size(), ref_params.size());
     for (std::size_t i = 0; i < ref_params.size(); ++i) {
       ASSERT_EQ(overlap_params[i], ref_params[i]) << "overlap param " << i;
       ASSERT_NEAR(hier_params[i], ref_params[i], 1e-4f) << "hier param " << i;
-      ASSERT_NEAR(combo_params[i], ref_params[i], 5e-3f) << "fp16 param " << i;
+      ASSERT_NEAR(fp16_params[i], ref_params[i], 5e-3f) << "fp16 param " << i;
+      ASSERT_NEAR(combo_params[i], ref_params[i], 5e-3f)
+          << "fp16+hier param " << i;
     }
 
     // Sharding geometry and wire accounting.
@@ -413,17 +426,21 @@ TEST(HybridZero, OptionCombosMatchPlainStep) {
               3ull * z_overlap.padded_elements() * sizeof(float));
     EXPECT_EQ(z_overlap.bytes_reduced(), z_overlap.bytes_gathered());
     EXPECT_GT(z_hier.bytes_reduced(), 0u);
-    // binary16 halves both phases relative to the fp32 hierarchical run.
+    // binary16 halves both phases relative to the matching fp32 run.
+    EXPECT_EQ(z_fp16.bytes_reduced() * 2, z_overlap.bytes_reduced());
+    EXPECT_EQ(z_fp16.bytes_gathered() * 2, z_overlap.bytes_gathered());
     EXPECT_EQ(z_combo.bytes_reduced() * 2, z_hier.bytes_reduced());
     EXPECT_EQ(z_combo.bytes_gathered() * 2, z_hier.bytes_gathered());
 
-    // All replicas hold identical parameters after the fp16 gather.
-    double sum = 0.0;
-    for (float v : combo_params) sum += v;
-    double mx = sum, mn = sum;
-    comm.allreduce(std::span<double>(&mx, 1), ReduceOp::Max);
-    comm.allreduce(std::span<double>(&mn, 1), ReduceOp::Min);
-    EXPECT_EQ(mx, mn);
+    // All replicas hold identical parameters after each fp16 gather.
+    for (const auto* params : {&fp16_params, &combo_params}) {
+      double sum = 0.0;
+      for (float v : *params) sum += v;
+      double mx = sum, mn = sum;
+      comm.allreduce(std::span<double>(&mx, 1), ReduceOp::Max);
+      comm.allreduce(std::span<double>(&mn, 1), ReduceOp::Min);
+      EXPECT_EQ(mx, mn);
+    }
   });
 }
 

@@ -16,6 +16,7 @@
 #include "nn/layers_basic.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/param_store.hpp"
 #include "nn/models.hpp"
 #include "nn/norm.hpp"
 #include "nn/residual.hpp"
@@ -329,16 +330,18 @@ TEST(GradCheck, SmallResNetEndToEndTrainingReducesLoss) {
   auto net = msa::nn::make_resnet(2, 3, {4, 8}, 1, rng);
   Tensor x = Tensor::randn({6, 2, 8, 8}, rng);
   const std::vector<std::int32_t> labels = {0, 1, 2, 0, 1, 2};
+  msa::nn::ParamStore store(*net);
   msa::nn::Sgd opt(0.05, 0.9);
+  store.attach_optimizer(opt);
   float first_loss = 0.0f, last_loss = 0.0f;
   for (int step = 0; step < 30; ++step) {
-    net->zero_grads();
+    store.zero_grads();
     Tensor logits = net->forward(x, true);
     auto res = msa::nn::softmax_cross_entropy(logits, labels);
     if (step == 0) first_loss = res.loss;
     last_loss = res.loss;
     net->backward(res.grad);
-    opt.step(net->params(), net->grads());
+    store.step(opt);
   }
   EXPECT_LT(last_loss, 0.5f * first_loss);
 }

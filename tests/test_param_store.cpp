@@ -1,10 +1,13 @@
-// Tests for nn::ParamStore: slab relocation, aliasing invariants, flat
-// optimizer steps, the slab gradient reducer against the exact mean, and
-// slab checkpoint round-trips.
+// Tests for nn::ParamStore: slab relocation, aliasing invariants, optimizer
+// steps against a scalar reference, the slab gradient reducer against the
+// exact mean, and slab checkpoint round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -128,57 +131,128 @@ TEST(ParamStore, ForwardBackwardUnchangedByRelocation) {
   }
 }
 
-// ---- flat optimizer steps ----------------------------------------------------
+// ---- optimizer steps on the slab ----------------------------------------------
 
-/// Runs @p steps identical training steps on two copies of the same model,
-/// one through the per-tensor optimizer path and one through the attached
-/// flat-slab path, and asserts bit-identical parameters afterwards.
-template <typename Opt, typename... Args>
-void expect_flat_step_matches_list(int steps, Args... args) {
-  auto list_model = odd_model(21);
-  Opt list_opt(args...);
+/// Model wide enough (17413 parameters) that the update's parallel_for
+/// splits the slab into more than one chunk.
+std::unique_ptr<Sequential> wide_model(unsigned seed) {
+  Rng rng(seed);
+  return msa::nn::make_mlp(3, {130, 127}, 2, rng);
+}
 
-  auto slab_model = odd_model(21);
-  ParamStore store(*slab_model);
-  Opt slab_opt(args...);
-  store.attach_optimizer(slab_opt);
+/// Scalar reference of a rule: updates @p p in place from @p g, with the
+/// role-major state @p state, one element at a time.
+using ScalarRule = std::function<void(std::vector<float>& p,
+                                      const std::vector<float>& g,
+                                      std::vector<float>& state)>;
 
+/// Trains a model through store.step(@p opt) for several steps and replays
+/// every step's gradient through @p reference on a copy of the parameter
+/// slab.  Parameters and optimizer state must agree bit for bit.
+void expect_step_matches_scalar_reference(msa::nn::Optimizer& opt,
+                                          const ScalarRule& reference) {
+  auto model = wide_model(21);
+  ParamStore store(*model);
+  store.attach_optimizer(opt);
+  ASSERT_EQ(store.opt_span().size(), opt.state_roles() * store.size());
+
+  std::vector<float> p(store.param_span().begin(), store.param_span().end());
+  std::vector<float> state(opt.state_roles() * store.size(), 0.0f);
   Rng rng(55);
-  for (int s = 0; s < steps; ++s) {
+  for (int s = 0; s < 5; ++s) {
     Tensor x = Tensor::randn({4, 3}, rng);
     std::vector<std::int32_t> y = {1, 0, 1, 1};
-
-    list_model->zero_grads();
-    auto ra = msa::nn::softmax_cross_entropy(list_model->forward(x, true), y);
-    list_model->backward(ra.grad);
-    list_opt.step(list_model->params(), list_model->grads());
-
     store.zero_grads();
-    auto rb = msa::nn::softmax_cross_entropy(slab_model->forward(x, true), y);
-    slab_model->backward(rb.grad);
-    store.step(slab_opt);
-  }
+    auto res = msa::nn::softmax_cross_entropy(model->forward(x, true), y);
+    model->backward(res.grad);
+    const std::vector<float> g(store.grad_span().begin(),
+                               store.grad_span().end());
 
-  auto pa = list_model->params();
-  auto pb = slab_model->params();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    for (std::size_t j = 0; j < pa[i]->numel(); ++j) {
-      ASSERT_EQ((*pa[i])[j], (*pb[i])[j]) << i << "," << j;
+    store.step(opt);
+    reference(p, g, state);
+
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      ASSERT_EQ(store.param_span()[j], p[j]) << "step " << s << " param " << j;
+    }
+    for (std::size_t j = 0; j < state.size(); ++j) {
+      ASSERT_EQ(store.opt_span()[j], state[j]) << "step " << s << " state " << j;
     }
   }
 }
 
-TEST(ParamStore, FlatSgdMatchesListPath) {
-  expect_flat_step_matches_list<msa::nn::Sgd>(4, 0.1, 0.9, 1e-4, false);
+/// nn::Sgd's float expressions, written out element by element.
+ScalarRule scalar_sgd(double lr, double momentum, double weight_decay,
+                      bool nesterov) {
+  return [=](std::vector<float>& p, const std::vector<float>& g,
+             std::vector<float>& v) {
+    const auto lr_f = static_cast<float>(lr);
+    const auto mu = static_cast<float>(momentum);
+    const auto wd = static_cast<float>(weight_decay);
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      const float grad = g[j] + wd * p[j];
+      v[j] = mu * v[j] + grad;
+      const float update = nesterov ? grad + mu * v[j] : v[j];
+      p[j] -= lr_f * update;
+    }
+  };
 }
 
-TEST(ParamStore, FlatNesterovSgdMatchesListPath) {
-  expect_flat_step_matches_list<msa::nn::Sgd>(4, 0.1, 0.9, 0.0, true);
+/// nn::Adam's float expressions, written out element by element; the state
+/// is [all m | all v] and the step counter lives in the closure.
+ScalarRule scalar_adam(double lr, double beta1, double beta2, double eps,
+                       double weight_decay) {
+  return [=, t = 0L](std::vector<float>& p, const std::vector<float>& g,
+                     std::vector<float>& state) mutable {
+    ++t;
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    const auto lr_t = static_cast<float>(lr * std::sqrt(bc2) / bc1);
+    const auto b1 = static_cast<float>(beta1);
+    const auto b2 = static_cast<float>(beta2);
+    const auto wd = static_cast<float>(weight_decay);
+    const auto eps_f = static_cast<float>(eps);
+    float* m = state.data();
+    float* v = state.data() + p.size();
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      const float grad = g[j] + wd * p[j];
+      m[j] = b1 * m[j] + (1.0f - b1) * grad;
+      v[j] = b2 * v[j] + (1.0f - b2) * grad * grad;
+      p[j] -= lr_t * m[j] / (std::sqrt(v[j]) + eps_f);
+    }
+  };
 }
 
-TEST(ParamStore, FlatAdamMatchesListPath) {
-  expect_flat_step_matches_list<msa::nn::Adam>(4, 1e-2);
+TEST(ParamStore, SgdStepMatchesScalarReference) {
+  msa::nn::Sgd opt(0.1, 0.9, 1e-3, false);
+  expect_step_matches_scalar_reference(opt, scalar_sgd(0.1, 0.9, 1e-3, false));
+}
+
+TEST(ParamStore, NesterovSgdStepMatchesScalarReference) {
+  msa::nn::Sgd opt(0.1, 0.9, 1e-3, true);
+  expect_step_matches_scalar_reference(opt, scalar_sgd(0.1, 0.9, 1e-3, true));
+}
+
+TEST(ParamStore, AdamStepMatchesScalarReference) {
+  msa::nn::Adam opt(1e-2, 0.9, 0.999, 1e-8, 1e-3);
+  expect_step_matches_scalar_reference(
+      opt, scalar_adam(1e-2, 0.9, 0.999, 1e-8, 1e-3));
+}
+
+TEST(ParamStore, StepRejectsUnattachedOptimizer) {
+  auto model = odd_model(23);
+  ParamStore store(*model);
+  for (float& g : store.grad_span()) g = 1.0f;
+  const std::vector<float> before(store.param_span().begin(),
+                                  store.param_span().end());
+  msa::nn::Sgd never_attached(0.1, 0.9);
+  EXPECT_THROW(store.step(never_attached), std::logic_error);
+
+  // Attaching another optimizer does not make this one steppable.
+  msa::nn::Sgd attached(0.1, 0.9);
+  store.attach_optimizer(attached);
+  EXPECT_THROW(store.step(never_attached), std::logic_error);
+  EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                         store.param_span().begin()));
 }
 
 TEST(ParamStore, AdamStateSlabIsPositional) {
