@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Kernel perf trajectory: build the native-arch bench tree, run the kernel
-# microbenchmarks with JSON output, and append a distilled record (GFLOP/s
-# per benchmark) to BENCH_kernels.json at the repo root.  Run after kernel
-# changes so future PRs can compare against every prior recorded run.
+# Kernel perf trajectory: build the bench tree with the plain Release flags
+# (the same ones perfbench uses; the GEMM picks its SIMD width at run time),
+# run the kernel microbenchmarks with JSON output, and append a distilled
+# record (GFLOP/s per benchmark) to BENCH_kernels.json at the repo root.  Run
+# after kernel changes so future PRs can compare against every prior
+# recorded run.
 #
 # Usage: bench/run_kernels.sh [label]      (label defaults to git short SHA)
 # Env:   BUILD_DIR (default build-bench), MSA_THREADS (default: all cores)
@@ -12,7 +14,7 @@ cd "$(dirname "$0")/.."
 BUILD=${BUILD_DIR:-build-bench}
 LABEL=${1:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabelled)}
 
-cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release -DMSA_NATIVE_ARCH=ON >/dev/null
+cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" -j --target bench_kernels --target bench_dist_step >/dev/null
 
 RAW="$BUILD/bench_kernels_raw.json"
@@ -52,7 +54,7 @@ run = {
     "date": raw.get("context", {}).get("date", ""),
     "threads": int(os.environ.get("MSA_THREADS", 0)) or None,
     "num_cpus": raw.get("context", {}).get("num_cpus"),
-    "build": "Release + MSA_NATIVE_ARCH",
+    "build": "Release",
     "results": results,
 }
 

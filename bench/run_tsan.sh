@@ -5,6 +5,8 @@
 # rank thread — TSan is the tool that proves the ordering story holds.  The
 # CommAsync/Overlap tests exercise the nonblocking request paths (deferred
 # drains, abandoned requests after a kill) across those same rank threads.
+# TensorPar covers the pool and the GEMM's once-per-process kernel pick,
+# which every rank thread and pool worker reads.
 #
 # Usage: bench/run_tsan.sh [gtest_filter]
 # Env:   BUILD_DIR (default build-tsan), MSA_THREADS (default: all cores)
@@ -12,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=${BUILD_DIR:-build-tsan}
-FILTER=${1:-Comm*:CommAsync*:Dist*:Overlap*:Fault*:FailSlow*:Health*:Resilient*:Runtime*:Mailbox*:Obs*:Critpath*:Flight*:Trace*:Timeseries*:Hybrid*:Mesh*:Serve*:Inference*}
+FILTER=${1:-Comm*:CommAsync*:Dist*:Overlap*:Fault*:FailSlow*:Health*:Resilient*:Runtime*:Mailbox*:Obs*:Critpath*:Flight*:Trace*:Timeseries*:Hybrid*:Mesh*:Serve*:Inference*:TensorPar*}
 
 # MSA_OBS=ON (the default, restated here on purpose) keeps the tracer armed
 # under TSan: every rank thread writes spans while snapshot/clear run on the

@@ -4,27 +4,23 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "par/pool.hpp"
+#include "tensor/gemm_kernels.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define MSA_GEMM_X86 1
+#endif
 
 namespace msa::tensor {
 
 namespace {
 constexpr std::size_t kBlock = 64;  // scalar-fallback cache block
 constexpr std::size_t kMR = 4;      // micro-kernel rows
-// Micro-kernel width: 4 x kNR accumulators must fit the register file of
-// the SIMD ISA this TU is compiled for, with room left for operand loads.
-// 8 accumulator vectors also cover FMA latency on all three tiers.
-#if defined(__AVX512F__)
-constexpr std::size_t kNR = 32;  // 8 zmm accumulators
-#elif defined(__AVX__)
-constexpr std::size_t kNR = 16;  // 8 ymm accumulators
-#else
-constexpr std::size_t kNR = 8;  // 8 xmm accumulators (SSE2 baseline)
-#endif
-constexpr std::size_t kKC = 256;  // packed-panel depth
+constexpr std::size_t kKC = 256;    // packed-panel depth
 // Below this many multiply-adds the packing overhead dominates; use the
 // serial scalar kernel.
 constexpr std::size_t kPackedThreshold = 48 * 48 * 48;
@@ -110,83 +106,159 @@ void pack_a_panel(const float* A, std::size_t lda, bool trans, float alpha,
   }
 }
 
-// Pack op(B) rows [p0, p1) across the full width n into kNR-wide panels,
-// zero-padded in the column direction.
+// Pack op(B) rows [p0, p1) across the full width n into nr-wide panels,
+// zero-padded in the column direction.  Under trans each source row of B
+// (one output column) is read contiguously along the depth.
 void pack_b(const float* B, std::size_t ldb, bool trans, std::size_t p0,
-            std::size_t p1, std::size_t n, float* Bp) {
+            std::size_t p1, std::size_t n, std::size_t nr, float* Bp) {
   const std::size_t kc = p1 - p0;
-  const std::size_t npanels = (n + kNR - 1) / kNR;
+  const std::size_t npanels = (n + nr - 1) / nr;
   par::parallel_for(0, npanels, 4, [&](std::size_t jb, std::size_t je) {
     for (std::size_t jp = jb; jp < je; ++jp) {
-      const std::size_t j0 = jp * kNR;
-      const std::size_t jn = std::min(kNR, n - j0);
-      float* panel = Bp + jp * kc * kNR;
-      for (std::size_t p = 0; p < kc; ++p) {
-        const std::size_t pp = p0 + p;
-        float* dst = panel + p * kNR;
-        if (!trans) {
-          const float* src = B + pp * ldb + j0;
-          for (std::size_t jr = 0; jr < jn; ++jr) dst[jr] = src[jr];
-        } else {
-          for (std::size_t jr = 0; jr < jn; ++jr) {
-            dst[jr] = B[(j0 + jr) * ldb + pp];
-          }
+      const std::size_t j0 = jp * nr;
+      const std::size_t jn = std::min(nr, n - j0);
+      float* panel = Bp + jp * kc * nr;
+      if (!trans) {
+        for (std::size_t p = 0; p < kc; ++p) {
+          const float* src = B + (p0 + p) * ldb + j0;
+          std::copy(src, src + jn, panel + p * nr);
         }
-        for (std::size_t jr = jn; jr < kNR; ++jr) dst[jr] = 0.0f;
+      } else {
+        for (std::size_t jr = 0; jr < jn; ++jr) {
+          const float* src = B + (j0 + jr) * ldb + p0;
+          for (std::size_t p = 0; p < kc; ++p) panel[p * nr + jr] = src[p];
+        }
+      }
+      for (std::size_t p = 0; p < kc; ++p) {
+        std::fill(panel + p * nr + jn, panel + (p + 1) * nr, 0.0f);
       }
     }
   });
 }
 
-// kMR x kNR register-blocked micro-kernel: acc = Ap * Bp over kc depth
-// steps.  No data-dependent branches; the j loop is one vector op under
-// -march=native.
-inline void microkernel(const float* Ap, const float* Bp, std::size_t kc,
-                        float acc[kMR][kNR]) {
-  for (std::size_t r = 0; r < kMR; ++r) {
-    for (std::size_t j = 0; j < kNR; ++j) acc[r][j] = 0.0f;
-  }
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* a = Ap + p * kMR;
-    const float* b = Bp + p * kNR;
-    for (std::size_t r = 0; r < kMR; ++r) {
-      const float av = a[r];
-      for (std::size_t j = 0; j < kNR; ++j) acc[r][j] += av * b[j];
+// One depth block [p0, p1) of the packed product, with op(B) already packed
+// into Bp: what every row-panel chunk reads.
+struct DepthBlock {
+  bool trans_a;
+  std::size_t m, n;
+  float alpha;
+  const float* A;
+  std::size_t lda;
+  std::size_t p0, p1;
+  const float* Bp;
+  float* C;
+};
+
+// Row panels [rb, re) of one depth block: pack kMR rows of alpha * op(A),
+// then run the kMR x (2 L) register-blocked micro-kernel over every B
+// panel, on a GCC vector type of L floats.  Each output element gets the
+// same arithmetic at every L: acc = 0, acc += (alpha a) b in depth order,
+// then C += acc once; the build's -ffp-contract=off keeps the multiply and
+// the add separate, so all instantiations produce the same bits.  Inlined
+// into one function per ISA below, which compiles it at that ISA's width.
+template <std::size_t L>
+[[gnu::always_inline]] inline void row_panels(const DepthBlock& blk,
+                                              std::size_t rb,
+                                              std::size_t re) {
+  using V [[gnu::vector_size(L * sizeof(float))]] = float;
+  constexpr std::size_t kNR = 2 * L;
+  const std::size_t kc = blk.p1 - blk.p0;
+  const std::size_t npanels = (blk.n + kNR - 1) / kNR;
+  par::Scratch scratch;
+  float* Ap = scratch.floats(kc * kMR);
+  for (std::size_t rp = rb; rp < re; ++rp) {
+    const std::size_t i0 = rp * kMR;
+    const std::size_t mr = std::min(kMR, blk.m - i0);
+    pack_a_panel(blk.A, blk.lda, blk.trans_a, blk.alpha, i0, blk.m, blk.p0,
+                 blk.p1, Ap);
+    for (std::size_t jp = 0; jp < npanels; ++jp) {
+      const float* b = blk.Bp + jp * kc * kNR;
+      V acc[kMR][2] = {};
+      for (std::size_t p = 0; p < kc; ++p) {
+        V b0{}, b1{};
+        std::memcpy(&b0, b + p * kNR, sizeof(V));
+        std::memcpy(&b1, b + p * kNR + L, sizeof(V));
+        const float* a = Ap + p * kMR;
+        // Unrolled so the 8 accumulator vectors stay in registers.
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < kMR; ++r) {
+          acc[r][0] += a[r] * b0;
+          acc[r][1] += a[r] * b1;
+        }
+      }
+      const std::size_t j0 = jp * kNR;
+      const std::size_t jn = std::min(kNR, blk.n - j0);
+      for (std::size_t r = 0; r < mr; ++r) {
+        float* crow = blk.C + (i0 + r) * blk.n + j0;
+        if (jn == kNR) {
+          for (std::size_t v = 0; v < 2; ++v) {
+            V c{};
+            std::memcpy(&c, crow + v * L, sizeof(V));
+            c += acc[r][v];
+            std::memcpy(crow + v * L, &c, sizeof(V));
+          }
+        } else {
+          float tile[kNR] = {};
+          std::memcpy(tile, acc[r], sizeof(tile));
+          for (std::size_t jr = 0; jr < jn; ++jr) crow[jr] += tile[jr];
+        }
+      }
     }
   }
+}
+
+void row_panels_4(const DepthBlock& blk, std::size_t rb, std::size_t re) {
+  row_panels<4>(blk, rb, re);
+}
+#ifdef MSA_GEMM_X86
+[[gnu::target("avx2")]] void row_panels_8(const DepthBlock& blk,
+                                          std::size_t rb, std::size_t re) {
+  row_panels<8>(blk, rb, re);
+}
+[[gnu::target("avx512f")]] void row_panels_16(const DepthBlock& blk,
+                                              std::size_t rb,
+                                              std::size_t re) {
+  row_panels<16>(blk, rb, re);
+}
+#endif
+
+struct Kernel {
+  std::size_t lanes;
+  void (*row_panels)(const DepthBlock&, std::size_t, std::size_t);
+};
+
+// The instantiations this CPU runs, narrowest first; probed once per
+// process.  Non-x86 builds have the portable one only.
+const std::vector<Kernel>& kernels() {
+  static const std::vector<Kernel> supported = [] {
+    std::vector<Kernel> ks{{4, row_panels_4}};
+#ifdef MSA_GEMM_X86
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) ks.push_back({8, row_panels_8});
+    if (__builtin_cpu_supports("avx512f")) ks.push_back({16, row_panels_16});
+#endif
+    return ks;
+  }();
+  return supported;
 }
 
 // Packed path: pack op(B) per depth block, then parallelise row panels of C
 // across the pool.  Each chunk owns disjoint C rows and the depth-block
 // order is fixed, so the result is bit-identical for any pool size.
-void gemm_packed(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-                 std::size_t k, float alpha, const float* A, std::size_t lda,
-                 const float* B, std::size_t ldb, float* C) {
-  const std::size_t npanels_n = (n + kNR - 1) / kNR;
+void gemm_packed(const Kernel& kernel, bool trans_a, bool trans_b,
+                 std::size_t m, std::size_t n, std::size_t k, float alpha,
+                 const float* A, std::size_t lda, const float* B,
+                 std::size_t ldb, float* C) {
+  const std::size_t nr = 2 * kernel.lanes;
+  const std::size_t npanels_n = (n + nr - 1) / nr;
   const std::size_t nrow_panels = (m + kMR - 1) / kMR;
-  std::vector<float> Bp(std::min(kKC, k) * npanels_n * kNR);
+  std::vector<float> Bp(std::min(kKC, k) * npanels_n * nr);
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t p1 = std::min(k, p0 + kKC);
-    const std::size_t kc = p1 - p0;
-    pack_b(B, ldb, trans_b, p0, p1, n, Bp.data());
+    pack_b(B, ldb, trans_b, p0, p1, n, nr, Bp.data());
+    const DepthBlock blk{trans_a, m, n, alpha, A, lda, p0, p1, Bp.data(), C};
     par::parallel_for(0, nrow_panels, 4, [&](std::size_t rb, std::size_t re) {
-      par::Scratch scratch;
-      float* Ap = scratch.floats(kc * kMR);
-      float acc[kMR][kNR];
-      for (std::size_t rp = rb; rp < re; ++rp) {
-        const std::size_t i0 = rp * kMR;
-        const std::size_t mr = std::min(kMR, m - i0);
-        pack_a_panel(A, lda, trans_a, alpha, i0, m, p0, p1, Ap);
-        for (std::size_t jp = 0; jp < npanels_n; ++jp) {
-          microkernel(Ap, Bp.data() + jp * kc * kNR, kc, acc);
-          const std::size_t j0 = jp * kNR;
-          const std::size_t jn = std::min(kNR, n - j0);
-          for (std::size_t r = 0; r < mr; ++r) {
-            float* crow = C + (i0 + r) * n + j0;
-            for (std::size_t jr = 0; jr < jn; ++jr) crow[jr] += acc[r][jr];
-          }
-        }
-      }
+      kernel.row_panels(blk, rb, re);
     });
   }
 }
@@ -202,9 +274,36 @@ void gemm_raw(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   if (m * n * k <= kPackedThreshold) {
     gemm_scalar(trans_a, trans_b, m, n, k, alpha, A, lda, B, ldb, C);
   } else {
-    gemm_packed(trans_a, trans_b, m, n, k, alpha, A, lda, B, ldb, C);
+    gemm_packed(kernels().back(), trans_a, trans_b, m, n, k, alpha, A, lda,
+                B, ldb, C);
   }
 }
+
+namespace detail {
+
+std::vector<std::size_t> gemm_lanes_supported() {
+  std::vector<std::size_t> lanes;
+  for (const Kernel& k : kernels()) lanes.push_back(k.lanes);
+  return lanes;
+}
+
+void gemm_packed_with_lanes(std::size_t lanes, bool trans_a, bool trans_b,
+                            std::size_t m, std::size_t n, std::size_t k,
+                            float alpha, const float* A, std::size_t lda,
+                            const float* B, std::size_t ldb, float beta,
+                            float* C) {
+  for (const Kernel& kernel : kernels()) {
+    if (kernel.lanes != lanes) continue;
+    scale_c(C, m * n, beta);
+    gemm_packed(kernel, trans_a, trans_b, m, n, k, alpha, A, lda, B, ldb, C);
+    return;
+  }
+  throw std::invalid_argument("gemm_packed_with_lanes: no " +
+                              std::to_string(lanes) +
+                              "-lane kernel on this CPU");
+}
+
+}  // namespace detail
 
 void gemm(bool trans_a, bool trans_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor& c) {

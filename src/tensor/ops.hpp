@@ -2,13 +2,15 @@
 // im2col/col2im, row softmax.
 //
 // These are the computational core under every DL layer in msa_nn.  GEMM
-// packs op(B) into contiguous kNR-wide panels and op(A) into kMR-tall
-// micro-panels (transposes and alpha folded into the packing), then runs a
-// branch-free 4xN register-blocked micro-kernel, parallelised over row
-// panels on the msa::par pool.  Rows of C are disjoint across chunks and
-// the k-blocking order is fixed, so results are bit-identical for every
-// MSA_THREADS setting.  Small problems fall back to a serial cache-blocked
-// scalar kernel (also branch-free).
+// packs op(B) into contiguous panels two SIMD vectors wide and op(A) into
+// 4-row micro-panels (transposes and alpha folded into the packing), then
+// runs a branch-free 4 x 2-vector register-blocked micro-kernel,
+// parallelised over row panels on the msa::par pool.  The vector width is
+// the widest the CPU runs (4, 8 or 16 floats: SSE2, AVX2, AVX-512F), picked
+// once per process; every width computes the same bits.  Rows of C are
+// disjoint across chunks and the k-blocking order is fixed, so results are
+// bit-identical for every MSA_THREADS setting.  Small problems fall back to
+// a serial cache-blocked scalar kernel (also branch-free).
 #pragma once
 
 #include <cstddef>

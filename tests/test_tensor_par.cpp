@@ -2,15 +2,19 @@
 // conv kernels built on it: correctness of all four GEMM transpose
 // combinations against a naive reference on awkward (non-square, odd)
 // sizes, and the determinism guarantee — bit-identical Conv2D results for
-// MSA_THREADS=1 vs MSA_THREADS=8.
+// MSA_THREADS=1 vs MSA_THREADS=8, and bit-identical GEMM results from every
+// SIMD micro-kernel instantiation the CPU runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "nn/conv.hpp"
 #include "par/pool.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -91,6 +95,68 @@ TEST(TensorPar, GemmBitIdenticalAcrossThreadCounts) {
   msa::par::set_num_threads(8);
   msa::tensor::gemm(false, false, 1.0f, a, b, 0.0f, c8);
   ASSERT_EQ(0, std::memcmp(c1.data(), c8.data(), c1.numel() * sizeof(float)));
+}
+
+// Every micro-kernel instantiation this CPU runs (4, 8 and 16 lanes on an
+// AVX-512 host) must produce the 4-lane kernel's bits exactly: same
+// per-element sequence, no fused multiply-add.  gemm_raw, which dispatches
+// to the widest one, must too.
+TEST(TensorPar, PackedGemmBitIdenticalAcrossIsas) {
+  namespace detail = msa::tensor::detail;
+  ParGuard guard;
+  msa::par::set_num_threads(4);
+  const std::vector<std::size_t> lanes = detail::gemm_lanes_supported();
+  ASSERT_FALSE(lanes.empty());
+  ASSERT_EQ(lanes.front(), 4u);
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  const Shape shapes[] = {
+      {8, 512, 512}, {512, 512, 8}, {37, 65, 257}, {129, 33, 600}};
+  const std::pair<float, float> alpha_beta[] = {
+      {1.0f, 0.0f}, {-0.7f, 1.0f}, {1.3f, 0.3f}};
+  Rng rng(99);
+  for (const Shape& s : shapes) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        const Tensor a = Tensor::randn({s.m * s.k}, rng);
+        const Tensor b = Tensor::randn({s.k * s.n}, rng);
+        const Tensor c0 = Tensor::randn({s.m * s.n}, rng);
+        const std::size_t lda = ta ? s.m : s.k;
+        const std::size_t ldb = tb ? s.k : s.n;
+        for (const auto& [alpha, beta] : alpha_beta) {
+          // lanes == 0 runs the dispatching gemm_raw.
+          auto run = [&](std::size_t l) {
+            Tensor c = c0;
+            if (l == 0) {
+              msa::tensor::gemm_raw(ta, tb, s.m, s.n, s.k, alpha, a.data(),
+                                    lda, b.data(), ldb, beta, c.data());
+            } else {
+              detail::gemm_packed_with_lanes(l, ta, tb, s.m, s.n, s.k, alpha,
+                                             a.data(), lda, b.data(), ldb,
+                                             beta, c.data());
+            }
+            return c;
+          };
+          const Tensor base = run(4);
+          std::vector<std::size_t> variants(lanes.begin() + 1, lanes.end());
+          variants.push_back(0);
+          for (const std::size_t l : variants) {
+            const Tensor c = run(l);
+            EXPECT_EQ(0, std::memcmp(base.data(), c.data(),
+                                     base.numel() * sizeof(float)))
+                << "lanes=" << l << " m=" << s.m << " n=" << s.n
+                << " k=" << s.k << " ta=" << ta << " tb=" << tb
+                << " alpha=" << alpha << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_THROW(detail::gemm_packed_with_lanes(3, false, false, 1, 1, 1, 1.0f,
+                                              nullptr, 1, nullptr, 1, 0.0f,
+                                              nullptr),
+               std::invalid_argument);
 }
 
 TEST(TensorPar, TransposeMatchesNaive) {
