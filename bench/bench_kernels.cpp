@@ -37,6 +37,43 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
+// Skinny GEMMs from 8-row micro-batches through 512-wide Dense layers:
+// forward (NN), input gradient (NT), weight gradient (TN, m = 512, k = 8),
+// plus a narrower NN output.
+void BM_GemmSkinny(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const bool ta = state.range(3) != 0;
+  const bool tb = state.range(4) != 0;
+  tensor::Rng rng(13);
+  tensor::Tensor a = tensor::Tensor::randn(ta ? tensor::Shape{k, m}
+                                              : tensor::Shape{m, k},
+                                           rng);
+  tensor::Tensor b = tensor::Tensor::randn(tb ? tensor::Shape{n, k}
+                                              : tensor::Shape{k, n},
+                                           rng);
+  tensor::Tensor c({m, n});
+  for (auto _ : state) {
+    tensor::gemm(ta, tb, 1.0f, a, b, 0.0f, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      tensor::gemm_flops(m, n, k) * static_cast<double>(state.iterations()) /
+          1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmSkinny)
+    ->ArgNames({"m", "n", "k", "ta", "tb"})
+    ->Args({8, 512, 256, 0, 0})
+    ->Args({8, 512, 256, 0, 1})
+    ->Args({8, 512, 512, 0, 0})
+    ->Args({8, 512, 512, 0, 1})
+    ->Args({512, 512, 8, 1, 0})
+    ->Args({8, 128, 256, 0, 0})
+    ->UseRealTime();
+
 void BM_Conv2DForward(benchmark::State& state) {
   tensor::Rng rng(2);
   nn::Conv2D conv(8, 16, 3, 1, 1, rng);

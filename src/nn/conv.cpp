@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -21,6 +23,18 @@ constexpr std::size_t kGradChunks = 8;
 std::size_t grad_grain(std::size_t batch) {
   return (batch + kGradChunks - 1) / kGradChunks;
 }
+
+// Returns kernel, or throws when kernel or stride is 0; called first in the
+// member initialisers, before any weight is sized from them.
+std::size_t checked_kernel(const char* layer, std::size_t kernel,
+                           std::size_t stride) {
+  if (kernel == 0 || stride == 0) {
+    throw std::invalid_argument(std::string(layer) + ": kernel " +
+                                std::to_string(kernel) + " and stride " +
+                                std::to_string(stride) + " must be >= 1");
+  }
+  return kernel;
+}
 }  // namespace
 
 // ---- Conv2D ------------------------------------------------------------------
@@ -29,7 +43,7 @@ Conv2D::Conv2D(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,
                std::size_t stride, std::size_t pad, Rng& rng, bool bias)
     : in_ch_(in_ch),
       out_ch_(out_ch),
-      kernel_(kernel),
+      kernel_(checked_kernel("Conv2D", kernel, stride)),
       stride_(stride),
       pad_(pad),
       has_bias_(bias),
@@ -156,7 +170,7 @@ Conv1D::Conv1D(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,
                std::size_t stride, std::size_t pad, Rng& rng)
     : in_ch_(in_ch),
       out_ch_(out_ch),
-      kernel_(kernel),
+      kernel_(checked_kernel("Conv1D", kernel, stride)),
       stride_(stride),
       pad_(pad),
       w_(Tensor::randn({out_ch, in_ch, kernel}, rng,
@@ -246,7 +260,7 @@ Tensor Conv1D::backward(const Tensor& grad_out) {
 // ---- MaxPool2D ---------------------------------------------------------------
 
 MaxPool2D::MaxPool2D(std::size_t kernel, std::size_t stride)
-    : kernel_(kernel), stride_(stride) {}
+    : kernel_(checked_kernel("MaxPool2D", kernel, stride)), stride_(stride) {}
 
 Tensor MaxPool2D::forward(const Tensor& x, bool /*training*/) {
   in_shape_ = x.shape();

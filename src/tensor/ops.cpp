@@ -21,9 +21,6 @@ namespace {
 constexpr std::size_t kBlock = 64;  // scalar-fallback cache block
 constexpr std::size_t kMR = 4;      // micro-kernel rows
 constexpr std::size_t kKC = 256;    // packed-panel depth
-// Below this many multiply-adds the packing overhead dominates; use the
-// serial scalar kernel.
-constexpr std::size_t kPackedThreshold = 48 * 48 * 48;
 
 // Scale C by beta (beta == 1 is the caller's no-op case).
 void scale_c(float* C, std::size_t count, float beta) {
@@ -106,9 +103,59 @@ void pack_a_panel(const float* A, std::size_t lda, bool trans, float alpha,
   }
 }
 
-// Pack op(B) rows [p0, p1) across the full width n into nr-wide panels,
-// zero-padded in the column direction.  Under trans each source row of B
-// (one output column) is read contiguously along the depth.
+// Pack columns [j0, j0 + jn) of op(B) rows [p0, p1) into one nr-wide panel,
+// zero-padded in the column direction.  Under trans each column of op(B) is
+// a row of B, read contiguously along the depth: 4 x 4 tiles go through
+// registers, and only tails narrower than 4 move one element at a time.
+void pack_b_panel(const float* B, std::size_t ldb, bool trans, std::size_t p0,
+                  std::size_t p1, std::size_t j0, std::size_t jn,
+                  std::size_t nr, float* panel) {
+  const std::size_t kc = p1 - p0;
+  if (!trans) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      const float* src = B + (p0 + p) * ldb + j0;
+      std::copy(src, src + jn, panel + p * nr);
+    }
+  } else {
+    using V4 [[gnu::vector_size(4 * sizeof(float))]] = float;
+    std::size_t jr = 0;
+    for (; jr + 4 <= jn; jr += 4) {
+      const float* src = B + (j0 + jr) * ldb + p0;
+      std::size_t p = 0;
+      for (; p + 4 <= kc; p += 4) {
+        V4 r[4];
+        for (std::size_t c = 0; c < 4; ++c) {
+          std::memcpy(&r[c], src + c * ldb + p, sizeof(V4));
+        }
+        const V4 lo01 = __builtin_shufflevector(r[0], r[1], 0, 4, 1, 5);
+        const V4 hi01 = __builtin_shufflevector(r[0], r[1], 2, 6, 3, 7);
+        const V4 lo23 = __builtin_shufflevector(r[2], r[3], 0, 4, 1, 5);
+        const V4 hi23 = __builtin_shufflevector(r[2], r[3], 2, 6, 3, 7);
+        const V4 rows[4] = {__builtin_shufflevector(lo01, lo23, 0, 1, 4, 5),
+                            __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7),
+                            __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5),
+                            __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7)};
+        for (std::size_t q = 0; q < 4; ++q) {
+          std::memcpy(panel + (p + q) * nr + jr, &rows[q], sizeof(V4));
+        }
+      }
+      for (; p < kc; ++p) {
+        for (std::size_t c = 0; c < 4; ++c) {
+          panel[p * nr + jr + c] = src[c * ldb + p];
+        }
+      }
+    }
+    for (; jr < jn; ++jr) {
+      const float* src = B + (j0 + jr) * ldb + p0;
+      for (std::size_t p = 0; p < kc; ++p) panel[p * nr + jr] = src[p];
+    }
+  }
+  for (std::size_t p = 0; p < kc; ++p) {
+    std::fill(panel + p * nr + jn, panel + (p + 1) * nr, 0.0f);
+  }
+}
+
+// Pack op(B) rows [p0, p1) across the full width n into nr-wide panels.
 void pack_b(const float* B, std::size_t ldb, bool trans, std::size_t p0,
             std::size_t p1, std::size_t n, std::size_t nr, float* Bp) {
   const std::size_t kc = p1 - p0;
@@ -116,28 +163,24 @@ void pack_b(const float* B, std::size_t ldb, bool trans, std::size_t p0,
   par::parallel_for(0, npanels, 4, [&](std::size_t jb, std::size_t je) {
     for (std::size_t jp = jb; jp < je; ++jp) {
       const std::size_t j0 = jp * nr;
-      const std::size_t jn = std::min(nr, n - j0);
-      float* panel = Bp + jp * kc * nr;
-      if (!trans) {
-        for (std::size_t p = 0; p < kc; ++p) {
-          const float* src = B + (p0 + p) * ldb + j0;
-          std::copy(src, src + jn, panel + p * nr);
-        }
-      } else {
-        for (std::size_t jr = 0; jr < jn; ++jr) {
-          const float* src = B + (j0 + jr) * ldb + p0;
-          for (std::size_t p = 0; p < kc; ++p) panel[p * nr + jr] = src[p];
-        }
-      }
-      for (std::size_t p = 0; p < kc; ++p) {
-        std::fill(panel + p * nr + jn, panel + (p + 1) * nr, 0.0f);
-      }
+      pack_b_panel(B, ldb, trans, p0, p1, j0, std::min(nr, n - j0), nr,
+                   Bp + jp * kc * nr);
     }
   });
 }
 
-// One depth block [p0, p1) of the packed product, with op(B) already packed
-// into Bp: what every row-panel chunk reads.
+// Where the micro-kernel reads one depth block of op(B), in panels 2L
+// columns wide: full panel jp starts at full + jp * step with its rows ld
+// floats apart (packed: step = kc * 2L, ld = 2L; in place: step = 2L,
+// ld = ldb).  A partial last panel is always packed, rows 2L apart, at tail.
+struct BPanels {
+  const float* full;
+  std::size_t step, ld;
+  const float* tail;
+};
+
+// One depth block [p0, p1) of the packed product: what every row-panel
+// chunk reads.
 struct DepthBlock {
   bool trans_a;
   std::size_t m, n;
@@ -145,7 +188,7 @@ struct DepthBlock {
   const float* A;
   std::size_t lda;
   std::size_t p0, p1;
-  const float* Bp;
+  BPanels b;
   float* C;
 };
 
@@ -163,6 +206,7 @@ template <std::size_t L>
   using V [[gnu::vector_size(L * sizeof(float))]] = float;
   constexpr std::size_t kNR = 2 * L;
   const std::size_t kc = blk.p1 - blk.p0;
+  const std::size_t nfull = blk.n / kNR;
   const std::size_t npanels = (blk.n + kNR - 1) / kNR;
   par::Scratch scratch;
   float* Ap = scratch.floats(kc * kMR);
@@ -172,12 +216,14 @@ template <std::size_t L>
     pack_a_panel(blk.A, blk.lda, blk.trans_a, blk.alpha, i0, blk.m, blk.p0,
                  blk.p1, Ap);
     for (std::size_t jp = 0; jp < npanels; ++jp) {
-      const float* b = blk.Bp + jp * kc * kNR;
+      const bool full = jp < nfull;
+      const float* b = full ? blk.b.full + jp * blk.b.step : blk.b.tail;
+      const std::size_t ld = full ? blk.b.ld : kNR;
       V acc[kMR][2] = {};
       for (std::size_t p = 0; p < kc; ++p) {
         V b0{}, b1{};
-        std::memcpy(&b0, b + p * kNR, sizeof(V));
-        std::memcpy(&b1, b + p * kNR + L, sizeof(V));
+        std::memcpy(&b0, b + p * ld, sizeof(V));
+        std::memcpy(&b1, b + p * ld + L, sizeof(V));
         const float* a = Ap + p * kMR;
         // Unrolled so the 8 accumulator vectors stay in registers.
 #pragma GCC unroll 4
@@ -187,10 +233,9 @@ template <std::size_t L>
         }
       }
       const std::size_t j0 = jp * kNR;
-      const std::size_t jn = std::min(kNR, blk.n - j0);
       for (std::size_t r = 0; r < mr; ++r) {
         float* crow = blk.C + (i0 + r) * blk.n + j0;
-        if (jn == kNR) {
+        if (full) {
           for (std::size_t v = 0; v < 2; ++v) {
             V c{};
             std::memcpy(&c, crow + v * L, sizeof(V));
@@ -200,7 +245,7 @@ template <std::size_t L>
         } else {
           float tile[kNR] = {};
           std::memcpy(tile, acc[r], sizeof(tile));
-          for (std::size_t jr = 0; jr < jn; ++jr) crow[jr] += tile[jr];
+          for (std::size_t jr = 0; jr < blk.n - j0; ++jr) crow[jr] += tile[jr];
         }
       }
     }
@@ -242,21 +287,35 @@ const std::vector<Kernel>& kernels() {
   return supported;
 }
 
-// Packed path: pack op(B) per depth block, then parallelise row panels of C
-// across the pool.  Each chunk owns disjoint C rows and the depth-block
-// order is fixed, so the result is bit-identical for any pool size.
+// Packed path: per depth block, pack op(B) (or, for at most kInPlaceMaxRows
+// rows and an untransposed B, only its partial last panel) into a buffer
+// from the calling thread's arena, then parallelise row panels of C across
+// the pool.  Each chunk owns disjoint C rows and the depth-block order is
+// fixed, so the result is bit-identical for any pool size.
 void gemm_packed(const Kernel& kernel, bool trans_a, bool trans_b,
                  std::size_t m, std::size_t n, std::size_t k, float alpha,
                  const float* A, std::size_t lda, const float* B,
                  std::size_t ldb, float* C) {
   const std::size_t nr = 2 * kernel.lanes;
-  const std::size_t npanels_n = (n + nr - 1) / nr;
+  const std::size_t nfull = n / nr;
+  const std::size_t npanels = (n + nr - 1) / nr;
   const std::size_t nrow_panels = (m + kMR - 1) / kMR;
-  std::vector<float> Bp(std::min(kKC, k) * npanels_n * nr);
+  const bool in_place = !trans_b && m <= detail::kInPlaceMaxRows;
+  par::Scratch scratch;
+  float* Bp = scratch.floats(std::min(kKC, k) * nr *
+                             (in_place ? npanels - nfull : npanels));
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t p1 = std::min(k, p0 + kKC);
-    pack_b(B, ldb, trans_b, p0, p1, n, nr, Bp.data());
-    const DepthBlock blk{trans_a, m, n, alpha, A, lda, p0, p1, Bp.data(), C};
+    const std::size_t kc = p1 - p0;
+    if (!in_place) {
+      pack_b(B, ldb, trans_b, p0, p1, n, nr, Bp);
+    } else if (nfull < npanels) {
+      pack_b_panel(B, ldb, false, p0, p1, nfull * nr, n - nfull * nr, nr, Bp);
+    }
+    const BPanels b = in_place
+                          ? BPanels{B + p0 * ldb, nr, ldb, Bp}
+                          : BPanels{Bp, kc * nr, nr, Bp + nfull * kc * nr};
+    const DepthBlock blk{trans_a, m, n, alpha, A, lda, p0, p1, b, C};
     par::parallel_for(0, nrow_panels, 4, [&](std::size_t rb, std::size_t re) {
       kernel.row_panels(blk, rb, re);
     });
@@ -271,7 +330,7 @@ void gemm_raw(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   obs::ScopedSpan span(obs::Category::Compute, "gemm", /*bytes=*/0,
                        static_cast<std::uint64_t>(gemm_flops(m, n, k)));
   scale_c(C, m * n, beta);
-  if (m * n * k <= kPackedThreshold) {
+  if (m * n * k <= detail::kPackedThreshold) {
     gemm_scalar(trans_a, trans_b, m, n, k, alpha, A, lda, B, ldb, C);
   } else {
     gemm_packed(kernels().back(), trans_a, trans_b, m, n, k, alpha, A, lda,
@@ -360,6 +419,12 @@ double gemm_flops(std::size_t m, std::size_t n, std::size_t k) {
 
 std::size_t conv_out_size(std::size_t in, std::size_t kernel,
                           std::size_t stride, std::size_t pad) {
+  if (stride == 0 || kernel == 0 || kernel > in + 2 * pad) {
+    throw std::invalid_argument(
+        "conv_out_size: kernel " + std::to_string(kernel) + " with stride " +
+        std::to_string(stride) + " does not fit input " + std::to_string(in) +
+        " padded by " + std::to_string(pad));
+  }
   return (in + 2 * pad - kernel) / stride + 1;
 }
 

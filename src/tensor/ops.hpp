@@ -2,10 +2,13 @@
 // im2col/col2im, row softmax.
 //
 // These are the computational core under every DL layer in msa_nn.  GEMM
-// packs op(B) into contiguous panels two SIMD vectors wide and op(A) into
-// 4-row micro-panels (transposes and alpha folded into the packing), then
-// runs a branch-free 4 x 2-vector register-blocked micro-kernel,
-// parallelised over row panels on the msa::par pool.  The vector width is
+// packs op(A) into 4-row micro-panels (transpose and alpha folded into the
+// packing) and runs a branch-free 4 x 2-vector register-blocked
+// micro-kernel over panels of op(B) two SIMD vectors wide, parallelised
+// over row panels on the msa::par pool.  For at most 16 rows of C and an
+// untransposed B the kernel reads B in place (only a partial last panel is
+// packed); otherwise op(B) is packed into a per-thread arena buffer, a
+// transposed B in 4 x 4 tiles moved through registers.  The vector width is
 // the widest the CPU runs (4, 8 or 16 floats: SSE2, AVX2, AVX-512F), picked
 // once per process; every width computes the same bits.  Rows of C are
 // disjoint across chunks and the k-blocking order is fixed, so results are
@@ -53,7 +56,9 @@ void col2im(const float* columns, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel_h, std::size_t kernel_w,
             std::size_t stride, std::size_t pad, float* input_grad);
 
-/// Output spatial size for a conv/pool dimension.
+/// Output spatial size for a conv/pool dimension.  Throws
+/// std::invalid_argument when stride or kernel is 0, or when the kernel is
+/// wider than the padded input.
 [[nodiscard]] std::size_t conv_out_size(std::size_t in, std::size_t kernel,
                                         std::size_t stride, std::size_t pad);
 

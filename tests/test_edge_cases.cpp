@@ -7,6 +7,7 @@
 #include "core/machine_builder.hpp"
 #include "core/module.hpp"
 #include "data/synthetic.hpp"
+#include "nn/conv.hpp"
 #include "nn/layers_basic.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
@@ -103,6 +104,42 @@ TEST(LayerEdge, DenseRejectsWrongWidth) {
   msa::nn::Dense d(4, 2, rng);
   Tensor bad({3, 5});
   EXPECT_THROW(d.forward(bad, true), std::invalid_argument);
+}
+
+TEST(LayerEdge, ConvOutSizeRejectsBadGeometry) {
+  using msa::tensor::conv_out_size;
+  EXPECT_EQ(conv_out_size(4, 5, 1, 1), 2u);  // kernel == in + 2 * pad fits
+  EXPECT_THROW((void)conv_out_size(4, 0, 1, 0), std::invalid_argument);
+  EXPECT_THROW((void)conv_out_size(4, 5, 1, 0), std::invalid_argument);
+  EXPECT_THROW((void)conv_out_size(4, 5, 2, 0), std::invalid_argument);
+  EXPECT_THROW((void)conv_out_size(1, 4, 1, 1), std::invalid_argument);
+}
+
+// Kept apart: before the check, a stride of 0 divided by zero.
+TEST(LayerEdge, ConvOutSizeRejectsZeroStride) {
+  EXPECT_THROW((void)msa::tensor::conv_out_size(4, 2, 0, 0),
+               std::invalid_argument);
+}
+
+TEST(LayerEdge, ConvAndPoolRejectZeroKernelOrStride) {
+  Rng rng(5);
+  EXPECT_THROW(msa::nn::Conv2D(1, 1, 0, 1, 0, rng), std::invalid_argument);
+  EXPECT_THROW(msa::nn::Conv2D(1, 1, 3, 0, 1, rng), std::invalid_argument);
+  EXPECT_THROW(msa::nn::Conv1D(1, 1, 0, 1, 0, rng), std::invalid_argument);
+  EXPECT_THROW(msa::nn::Conv1D(1, 1, 3, 0, 1, rng), std::invalid_argument);
+  EXPECT_THROW(msa::nn::MaxPool2D(0, 2), std::invalid_argument);
+  EXPECT_THROW(msa::nn::MaxPool2D(2, 0), std::invalid_argument);
+}
+
+TEST(LayerEdge, ConvRejectsKernelWiderThanPaddedInput) {
+  Rng rng(6);
+  const Tensor x = Tensor::randn({1, 1, 4, 4}, rng);
+  msa::nn::Conv2D conv(1, 1, 5, 1, 0, rng);
+  EXPECT_THROW((void)conv.forward(x, false), std::invalid_argument);
+  msa::nn::Conv2D padded(1, 1, 5, 1, 1, rng);
+  EXPECT_EQ(padded.forward(x, false).shape(), (msa::tensor::Shape{1, 1, 2, 2}));
+  msa::nn::MaxPool2D pool(5, 1);
+  EXPECT_THROW((void)pool.forward(x, false), std::invalid_argument);
 }
 
 TEST(LayerEdge, DropoutValidatesProbability) {
