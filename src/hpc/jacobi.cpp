@@ -63,7 +63,7 @@ JacobiResult solve_jacobi(const JacobiConfig& config) {
       break;
     }
   }
-  res.grid = Tensor({R, C}, std::move(cur));
+  res.grid = Tensor({R, C}, cur);
   return res;
 }
 
@@ -146,10 +146,10 @@ JacobiResult solve_jacobi_distributed(comm::Comm& comm,
                 global.begin() + static_cast<std::ptrdiff_t>(at));
       at += block.size();
     }
-    res.grid = Tensor({config.rows, C}, std::move(global));
+    res.grid = Tensor({config.rows, C}, global);
   } else {
     comm.send(std::span<const float>(cur), 0, kGatherTag);
-    res.grid = Tensor({my_rows, C}, std::move(cur));
+    res.grid = Tensor({my_rows, C}, cur);
   }
   return res;
 }

@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "par/aligned.hpp"
+
 namespace msa::par {
 
 namespace {
@@ -149,7 +151,7 @@ class Pool {
 // ---- scratch arena -----------------------------------------------------------
 
 struct ThreadArena {
-  std::vector<std::vector<float>> slots;
+  std::vector<CacheLineVector<float>> slots;
   std::size_t next = 0;
 };
 thread_local ThreadArena t_arena;
@@ -207,7 +209,7 @@ Scratch::~Scratch() { t_arena.next = mark_; }
 float* Scratch::floats(std::size_t n) {
   ThreadArena& a = t_arena;
   if (a.next == a.slots.size()) a.slots.emplace_back();
-  std::vector<float>& buf = a.slots[a.next++];
+  CacheLineVector<float>& buf = a.slots[a.next++];
   if (buf.size() < n) buf.resize(n);
   return buf.data();
 }

@@ -7,7 +7,9 @@
 // parameter, gradient, and optimizer-state slabs built by nn::ParamStore are
 // Storages, and the per-layer tensors are views into them.  The buffer never
 // reallocates after construction, so raw pointers into a Storage stay valid
-// for its whole lifetime.
+// for its whole lifetime.  It starts on a 64-byte cache line
+// (par/aligned.hpp), so a kernel's SIMD loads from it split lines the same
+// way on every allocation.
 #pragma once
 
 #include <algorithm>
@@ -15,13 +17,17 @@
 #include <span>
 #include <vector>
 
+#include "par/aligned.hpp"
+
 namespace msa::tensor {
 
 class Storage {
  public:
   Storage() = default;
   explicit Storage(std::size_t n, float value = 0.0f) : data_(n, value) {}
-  explicit Storage(std::vector<float> data) : data_(std::move(data)) {}
+  /// Copies data into an aligned buffer.
+  explicit Storage(const std::vector<float>& data)
+      : data_(data.begin(), data.end()) {}
 
   [[nodiscard]] float* data() { return data_.data(); }
   [[nodiscard]] const float* data() const { return data_.data(); }
@@ -32,7 +38,7 @@ class Storage {
   void fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
  private:
-  std::vector<float> data_;
+  par::CacheLineVector<float> data_;
 };
 
 }  // namespace msa::tensor

@@ -43,12 +43,13 @@ class Tensor {
     base_ = storage_->data();
   }
 
-  Tensor(Shape shape, std::vector<float> data) : shape_(std::move(shape)) {
+  Tensor(Shape shape, const std::vector<float>& data)
+      : shape_(std::move(shape)) {
     if (data.size() != numel_of(shape_)) {
       throw std::invalid_argument("Tensor: data does not match shape");
     }
     numel_ = data.size();
-    storage_ = std::make_shared<Storage>(std::move(data));
+    storage_ = std::make_shared<Storage>(data);
     base_ = storage_->data();
   }
 
