@@ -22,6 +22,7 @@
 // argv[1]).  Everything is simulated-time deterministic: same binary, same
 // JSON, whatever MSA_THREADS says — run_failslow.sh diffs exactly that.
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -107,15 +108,19 @@ SweepRow run_once(int P, const char* mode, double slowdown, int epochs) {
   obs::TimeSeries health_ts("health.");
   std::mutex m;
   rt.run([&](comm::Comm& comm) {
-    tensor::Rng rng(7);
-    auto model = nn::make_mlp(features, {64}, classes, rng);
-    nn::Sgd opt(0.05, 0.9);
     dist::ResilientOptions options;
     options.checkpoint_interval = 4;
     options.max_recoveries = 8;
     options.health = mode_health(mode);
     options.health.timeseries = &health_ts;  // sampled by rank 0 only
-    dist::ResilientTrainer trainer(comm, *model, opt, options);
+    dist::ResilientTrainer trainer(
+        comm,
+        [&] {
+          tensor::Rng rng(7);
+          return nn::make_mlp(features, {64}, classes, rng);
+        },
+        [] { return std::make_unique<nn::Sgd>(0.05, 0.9); },
+        dist::HybridOptions{}, options);
     auto result = trainer.train_classification(x, y, /*batch_size=*/8, epochs);
     if (trainer.comm().rank() == 0) {
       std::lock_guard lock(m);

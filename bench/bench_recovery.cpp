@@ -10,6 +10,7 @@
 // Output: a table on stdout and machine-readable rows in BENCH_recovery.json
 // (path overridable as argv[1]).
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -69,13 +70,17 @@ SweepRow run_once(int P, double mtbf_steps, int checkpoint_interval) {
   obs::Tracer::instance().clear();  // attribute this run's spans only
   std::mutex m;
   rt.run([&](comm::Comm& comm) {
-    tensor::Rng rng(7);
-    auto model = nn::make_mlp(features, {32}, classes, rng);
-    nn::Sgd opt(0.05, 0.9);
     dist::ResilientOptions options;
     options.checkpoint_interval = checkpoint_interval;
     options.max_recoveries = 32;
-    dist::ResilientTrainer trainer(comm, *model, opt, options);
+    dist::ResilientTrainer trainer(
+        comm,
+        [&] {
+          tensor::Rng rng(7);
+          return nn::make_mlp(features, {32}, classes, rng);
+        },
+        [] { return std::make_unique<nn::Sgd>(0.05, 0.9); },
+        dist::HybridOptions{}, options);
     auto result = trainer.train_classification(x, y, /*batch_size=*/8,
                                                /*epochs=*/5);
     if (trainer.comm().rank() == 0) {

@@ -14,7 +14,16 @@
 # BENCH_failslow.json is compared after stripping straggler_events,
 # straggler_events_max and dropped_spans: they count real-wall-clock recv
 # backstop expiries on the host (see bench/run_failslow.sh), not simulated
-# behaviour.
+# behaviour.  A JSON file that differs is reported leaf by leaf by
+# bench/benchdiff.py.
+#
+# Then eight programs run side by side (after bench_failslow, whose recv
+# backstop runs on the wall clock) and their stdout is compared with
+# bench/golden/<program>.txt: the examples quickstart, remote_sensing,
+# covid_xray, ards_imputation, rs_compression and pipeline_parallel (from the
+# examples directory next to <bench-bin-dir>), and bench_fig4_gru_ards and
+# bench_fig4_covidnet.  pipeline_parallel's rank lines print in thread order,
+# so its output is compared sorted (LC_ALL=C).
 #
 # Writes only to a temporary directory.  Registered with ctest as bench_gate
 # (label "bench"): `ctest -L bench` from a build tree.
@@ -27,6 +36,7 @@ if [ $# -ne 2 ]; then
   exit 2
 fi
 BIN=$(cd "$1" && pwd)
+EXAMPLES=$(cd "$1/../examples" && pwd)
 ROOT=$(cd "$2" && pwd)
 OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT
@@ -77,8 +87,45 @@ for f in BENCH_overlap.json BENCH_hybrid.json BENCH_recovery.json \
   if cmp -s "$fresh" "$committed"; then
     echo "match: $f"
   else
-    echo "FAIL: $f differs from the committed copy" >&2
-    diff "$committed" "$fresh" | head -20 | cut -c1-200 >&2 || true
+    echo "FAIL: $f differs from the committed copy (committed -> fresh):" >&2
+    python3 "$ROOT/bench/benchdiff.py" "$committed" "$fresh" >"$f.diff" || true
+    head -40 "$f.diff" | cut -c1-200 >&2
+    if [ "$(wc -l <"$f.diff")" -gt 40 ]; then
+      echo "  ..." >&2
+      tail -1 "$f.diff" >&2
+    fi
+    status=1
+  fi
+done
+
+programs=(quickstart remote_sensing covid_xray ards_imputation rs_compression
+          pipeline_parallel bench_fig4_gru_ards bench_fig4_covidnet)
+start=$SECONDS
+pids=()
+for p in "${programs[@]}"; do
+  case $p in
+    bench_*) exe=$BIN/$p ;;
+    *) exe=$EXAMPLES/$p ;;
+  esac
+  "$exe" >"$p.txt" 2>"$p.err" &
+  pids+=($!)
+done
+for i in "${!programs[@]}"; do
+  if ! wait "${pids[$i]}"; then
+    echo "FAIL: ${programs[$i]} exited non-zero" >&2
+    tail -20 "${programs[$i]}.err" >&2
+    status=1
+  fi
+done
+echo "ran ${#programs[@]} programs in $((SECONDS - start)) s"
+LC_ALL=C sort pipeline_parallel.txt >pipeline_parallel.sorted
+mv pipeline_parallel.sorted pipeline_parallel.txt
+for p in "${programs[@]}"; do
+  if cmp -s "$p.txt" "$ROOT/bench/golden/$p.txt"; then
+    echo "match: $p stdout"
+  else
+    echo "FAIL: $p stdout differs from bench/golden/$p.txt" >&2
+    diff "$ROOT/bench/golden/$p.txt" "$p.txt" | head -20 | cut -c1-200 >&2 || true
     status=1
   fi
 done

@@ -51,16 +51,15 @@ int main() {
                   nn::parameter_count(*full), stages);
     }
     auto parts = dist::partition_model(std::move(full), stages);
-    const std::size_t my_params =
-        nn::parameter_count(*parts[static_cast<std::size_t>(mesh.stage())]);
+    nn::Sequential& mine = *parts[static_cast<std::size_t>(mesh.stage())];
+    const std::size_t my_params = nn::parameter_count(mine);
 
     // The stage's gradients ride the same reduction machinery as plain data
     // parallelism — here with fp16 wire compression on the data axis.
     dist::AllreduceOptions opts;
     opts.fp16_compression = true;
-    dist::PipelineStage stage(
-        mesh, std::move(parts[static_cast<std::size_t>(mesh.stage())]),
-        std::make_unique<nn::Sgd>(0.05, 0.9), opts);
+    nn::Sgd opt(0.05, 0.9);
+    dist::PipelineStage stage(mesh, mine, opt, opts);
     std::printf(
         "  rank %d -> grid (stage %d, replica %d), %zu parameters%s\n",
         comm.rank(), mesh.stage(), mesh.replica(), my_params,
@@ -93,7 +92,7 @@ int main() {
         xs.push_back(std::move(x));
         ys.push_back(std::move(y));
       }
-      loss = stage.step_classification(xs, ys);
+      loss = stage.step_classification(xs, ys).loss;
       if (comm.rank() == 0 && step % 10 == 9) {
         std::printf("step %2d  loss %.4f  (modelled t=%.2f ms)\n", step, loss,
                     comm.sim_now() * 1e3);

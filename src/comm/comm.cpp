@@ -252,11 +252,20 @@ Comm Comm::split(int color, int key) {
   std::stable_sort(mates.begin(), mates.end(), [](const Entry& a, const Entry& b) {
     return a.key != b.key ? a.key < b.key : a.rank < b.rank;
   });
+  std::vector<int> ranks;
+  for (const Entry& e : mates) ranks.push_back(e.rank);
+  return split_known(color, ranks);
+}
+
+Comm Comm::split_known(int color, std::span<const int> ranks) {
   std::vector<int> members;
   int my_new_rank = -1;
-  for (std::size_t i = 0; i < mates.size(); ++i) {
-    members.push_back(members_[static_cast<std::size_t>(mates[i].rank)]);
-    if (mates[i].rank == rank_) my_new_rank = static_cast<int>(i);
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    members.push_back(members_.at(static_cast<std::size_t>(ranks[i])));
+    if (ranks[i] == rank_) my_new_rank = static_cast<int>(i);
+  }
+  if (my_new_rank < 0) {
+    throw std::invalid_argument("split_known: ranks must include this rank");
   }
   const std::uint64_t new_id =
       state_->child_comm_id(comm_id_, split_seq_++, color);

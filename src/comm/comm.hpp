@@ -687,6 +687,15 @@ class Comm {
   /// Split into sub-communicators by @p color; ranks ordered by (key, rank).
   [[nodiscard]] Comm split(int color, int key);
 
+  /// What split(color, key) gives this rank, without the exchange, for a
+  /// caller that already knows its group: @p ranks are its members as ranks
+  /// of this communicator, in their new rank order, and include rank().  It
+  /// takes the split sequence number and child id split would, so every
+  /// member calls it where it would call split, with the same arguments as
+  /// the rest of its group.  With rank() as the only rank it makes this rank
+  /// alone.
+  [[nodiscard]] Comm split_known(int color, std::span<const int> ranks);
+
   /// Duplicate this communicator (fresh tag space).
   [[nodiscard]] Comm dup() { return split(0, rank()); }
 

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <utility>
 
-#include "obs/trace.hpp"
 #include "tensor/rng.hpp"
 
 namespace msa::dist {
@@ -54,89 +53,11 @@ std::vector<std::size_t> ShardedSampler::epoch_indices(
   return mine;
 }
 
-DistributedTrainer::DistributedTrainer(comm::Comm& comm, nn::Layer& model,
-                                       nn::Optimizer& opt,
-                                       AllreduceOptions options)
-    : comm_(comm), model_(model), opt_(opt), store_(model) {
-  store_.attach_optimizer(opt_);
-  // Gradients are per-microbatch means, so the cross-rank average equals the
-  // gradient of the global batch; one rank needs no reduction at all.
-  if (comm_.size() > 1) {
-    // Collective under `hierarchical`: every rank constructs its trainer
-    // SPMD, as with splits.
-    reducer_.emplace(comm_, store_, options);
-    if (options.overlap) model_.set_backward_observer(&*reducer_);
-  }
-}
-
-DistributedTrainer::~DistributedTrainer() {
-  if (reducer_ && reducer_->overlapped()) {
-    model_.set_backward_observer(nullptr);
-  }
-}
-
-void DistributedTrainer::backward_reduce_apply(const nn::Tensor& loss_grad,
-                                               double fwd_flops) {
-  // Simulated device time is forward + 2x backward.  Overlapped, the forward
-  // is charged before backward starts and the reducer's hooks charge 2x each
-  // layer's forward flops as its backward completes (so bucket issue times
-  // interleave honestly with compute); the top-up keeps the total at exactly
-  // 3x forward.
-  const bool hooked = reducer_ && reducer_->overlapped();
-  if (hooked) comm_.charge_compute(fwd_flops, 0.0);
-  if (reducer_) reducer_->begin_step();
-  {
-    obs::ScopedSpan span(obs::Category::Compute, "backward");
-    model_.backward(loss_grad);
-  }
-  if (hooked) {
-    const double remainder = 2.0 * fwd_flops - reducer_->charged_flops();
-    if (remainder > 0.0) comm_.charge_compute(remainder, 0.0);
-  } else {
-    comm_.charge_compute(3.0 * fwd_flops, 0.0);
-  }
-  if (reducer_) reducer_->finish();
-  obs::ScopedSpan span(obs::Category::Compute, "optimizer");
-  store_.step(opt_);
-}
-
-StepResult DistributedTrainer::step_classification(
-    const nn::Tensor& x, const std::vector<std::int32_t>& labels) {
-  obs::ScopedSpan step(obs::Category::Step, "step");
-  store_.zero_grads();
-  nn::Tensor logits = [&] {
-    obs::ScopedSpan span(obs::Category::Compute, "forward");
-    return model_.forward(x, /*training=*/true);
-  }();
-  auto res = nn::softmax_cross_entropy(logits, labels);
-  if (loss_scale_ != 1.0) {
-    for (float& g : res.grad.flat()) g *= static_cast<float>(loss_scale_);
-  }
-  backward_reduce_apply(res.grad, model_.forward_flops());
-  return {res.loss, nn::accuracy(logits, labels)};
-}
-
-StepResult DistributedTrainer::step_regression(const nn::Tensor& x,
-                                               const nn::Tensor& target,
-                                               bool use_mae) {
-  obs::ScopedSpan step(obs::Category::Step, "step");
-  store_.zero_grads();
-  nn::Tensor pred = [&] {
-    obs::ScopedSpan span(obs::Category::Compute, "forward");
-    return model_.forward(x, /*training=*/true);
-  }();
-  auto res = use_mae ? nn::mae_loss(pred, target) : nn::mse_loss(pred, target);
-  if (loss_scale_ != 1.0) {
-    for (float& g : res.grad.flat()) g *= static_cast<float>(loss_scale_);
-  }
-  backward_reduce_apply(res.grad, model_.forward_flops());
-  return {res.loss, 0.0};
-}
-
 double DistributedTrainer::average_metric(double value) {
   std::array<double, 1> v = {value};
-  comm_.allreduce(std::span<double>(v), comm::ReduceOp::Sum);
-  return v[0] / comm_.size();
+  comm::Comm& data = engine_.mesh().data();
+  data.allreduce(std::span<double>(v), comm::ReduceOp::Sum);
+  return v[0] / data.size();
 }
 
 }  // namespace msa::dist

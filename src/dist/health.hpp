@@ -35,7 +35,8 @@
 //   2. Throughput-aware re-sharding: per-rank micro-batch sizes rebalanced
 //      proportional to measured throughput (balanced_batch_counts), so the
 //      slow rank gets fewer rows and the window skew collapses.  Gradient
-//      math stays exact via DistributedTrainer::set_loss_scale.
+//      math stays exact via the engine's loss scale
+//      (PipelineStage::set_loss_scale), one-stage layouts only.
 //   3. Demotion: a rank flagged for demote_after consecutive windows is
 //      evicted through the existing shrink path as if it had failed
 //      (comm::RankDemotedError), trading its capacity for its latency.

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "dist/distributed.hpp"
+
 namespace msa::dist {
 
 HybridStrategy::HybridStrategy(comm::Comm& comm, ModelFactory model_factory,
@@ -37,9 +39,11 @@ void HybridStrategy::build() {
   }
 
   Mesh mesh(comm_, MeshOptions{stages_now_, options_.topology_aware});
-  auto mine = std::move(parts[static_cast<std::size_t>(mesh.stage())]);
-  stage_ = std::make_unique<PipelineStage>(mesh, std::move(mine),
-                                           opt_factory_(), options_.allreduce);
+  stage_.reset();  // the engine refers to the part and optimizer replaced here
+  part_ = std::move(parts[static_cast<std::size_t>(mesh.stage())]);
+  optimizer_ = opt_factory_();
+  stage_ = std::make_unique<PipelineStage>(std::move(mesh), *part_,
+                                           *optimizer_, options_.allreduce);
 }
 
 StepResult HybridStrategy::step_classification(
@@ -73,10 +77,7 @@ StepResult HybridStrategy::step_classification(
     at += take;
   }
 
-  StepResult res;
-  res.loss = stage_->step_classification(xs, ys);
-  res.accuracy = 0.0;  // pipeline training reports loss only
-  return res;
+  return stage_->step_classification(xs, ys);
 }
 
 StateBlob HybridStrategy::capture_state() {
@@ -152,7 +153,7 @@ StateBlob HybridStrategy::capture_state() {
     }
     off += n;
   }
-  blob.scalars = stage_->optimizer().scalar_state();
+  blob.scalars = optimizer_->scalar_state();
   return blob;
 }
 
@@ -187,7 +188,7 @@ void HybridStrategy::load_state(const StateBlob& blob) {
           opt.begin() + static_cast<std::ptrdiff_t>(j * n));
     }
   }
-  stage_->optimizer().restore_scalar_state(blob.scalars);
+  optimizer_->restore_scalar_state(blob.scalars);
 }
 
 void HybridStrategy::align_initial() {

@@ -1,10 +1,12 @@
 // Elastic hybrid DP x PP training strategy over the dist::Mesh.
 //
-// HybridStrategy plugs the mesh-based PipelineStage into the
-// ResilientTrainer loop (dist/resilient.hpp): one object that trains a batch
-// through the 1F1B pipeline with data-parallel replication, serialises a
+// HybridStrategy is the layout the ResilientTrainer loop drives
+// (dist/resilient.hpp): one object that trains a batch through the engine
+// (dist/pipeline.hpp) with data-parallel replication, serialises a
 // partition-independent snapshot of the whole model, and — after a rank
-// loss — re-partitions the pipeline over the shrunken world.
+// loss — re-partitions the pipeline over the shrunken world.  With
+// HybridOptions{} (one stage, one microbatch) it is plain Horovod data
+// parallelism.
 //
 // Re-partitioning policy: after a shrink to world' ranks, the new stage
 // count is the largest S' <= min(requested S, world') with world' % S' == 0.
@@ -19,8 +21,9 @@
 // the blob for *any* later partition: role j of a stage holding layers
 // [off, off+n) lives at blob.opt_state[j*N + off, j*N + off + n).
 //
-// The model is rebuilt from a deterministic factory on every re-partition
-// (same architecture, any init — parameters are overwritten by the restore).
+// The model and optimizer are rebuilt from deterministic factories on every
+// re-partition (same architecture, any init — parameters and optimizer
+// state are overwritten by the restore).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +35,6 @@
 #include "comm/comm.hpp"
 #include "dist/mesh.hpp"
 #include "dist/pipeline.hpp"
-#include "dist/resilient.hpp"
 
 namespace msa::dist {
 
@@ -41,41 +43,62 @@ struct HybridOptions {
   /// cannot host it use the largest feasible S' (see file header).
   int pipeline_stages = 1;
   /// Microbatches per optimisation step (the 1F1B schedule length).
-  int microbatches = 4;
+  int microbatches = 1;
   bool topology_aware = true;  ///< mesh carving (see dist/mesh.hpp)
   AllreduceOptions allreduce;  ///< data-axis gradient reduction knobs
 };
 
-class HybridStrategy final : public ResilientStrategy {
+/// The resumable training state, as captured at a snapshot boundary.
+/// Identical on every rank and sufficient to resume after *any* membership
+/// change: it holds the full model, not just this rank's stage.
+struct StateBlob {
+  std::vector<float> params;
+  std::vector<float> opt_state;
+  std::vector<double> scalars;  ///< optimizer scalar state (e.g. Adam's t)
+  [[nodiscard]] std::uint64_t byte_size() const {
+    return (params.size() + opt_state.size()) * sizeof(float) +
+           scalars.size() * sizeof(double);
+  }
+};
+
+class HybridStrategy {
  public:
   /// Deterministically rebuilds the full model: same architecture every
   /// call (initial values are irrelevant after the first restore).
   using ModelFactory = std::function<std::unique_ptr<nn::Sequential>()>;
   using OptimizerFactory = std::function<std::unique_ptr<nn::Optimizer>()>;
 
-  /// @p comm must be the resilience loop's owned handle (kept by
-  /// reference).  Collective: builds the initial mesh and pipeline.
+  /// @p comm is kept by reference: a resilience loop reseats it in place on
+  /// recovery and then calls rebuild().  Collective: builds the initial
+  /// mesh and pipeline.
   HybridStrategy(comm::Comm& comm, ModelFactory model_factory,
                  OptimizerFactory optimizer_factory, HybridOptions options);
 
-  StepResult step_classification(
-      const nn::Tensor& x, const std::vector<std::int32_t>& labels) override;
-  nn::ParamStore& param_store() override { return stage_->param_store(); }
-  nn::Optimizer& optimizer() override { return stage_->optimizer(); }
-  /// Shard per data-parallel replica: every stage of one replica chain
-  /// draws the same batch.
-  [[nodiscard]] std::pair<int, int> data_shard() const override {
+  /// Train one batch: split into microbatches, one engine step.
+  StepResult step_classification(const nn::Tensor& x,
+                                 const std::vector<std::int32_t>& labels);
+  nn::ParamStore& param_store() { return stage_->param_store(); }
+  nn::Optimizer& optimizer() { return *optimizer_; }
+  /// (shard index, shard count) for the sampler: one shard per replica
+  /// chain, so every stage of a chain draws the same batch.
+  [[nodiscard]] std::pair<int, int> data_shard() const {
     return {stage_->mesh().replica(), stage_->mesh().replicas()};
   }
-  StateBlob capture_state() override;
-  void load_state(const StateBlob& blob) override;
-  void align_initial() override;
-  void align_restored() override;
-  void rebuild() override { build(); }
-  double average_metric(double value) override;
+  /// Serialise the full model (gathers every stage's slabs down the pipe).
+  StateBlob capture_state();
+  /// Inverse of capture_state under the current partition; no messages.
+  void load_state(const StateBlob& blob);
+  /// Align parameters across replicas (train start).
+  void align_initial();
+  /// Align parameters and optimizer state across replicas (recovery).
+  void align_restored();
+  /// Re-partition over the (reseated, possibly shrunken) communicator.
+  void rebuild() { build(); }
+  /// Average of a scalar across all ranks (metric reporting).
+  double average_metric(double value);
+  /// See PipelineStage::set_loss_scale.
+  void set_loss_scale(double scale) { stage_->set_loss_scale(scale); }
 
-  [[nodiscard]] PipelineStage& pipeline() { return *stage_; }
-  [[nodiscard]] Mesh& mesh() { return stage_->mesh(); }
   /// Stage count of the current partition (shrinks with the world).
   [[nodiscard]] int current_stages() const { return stages_now_; }
 
@@ -90,7 +113,9 @@ class HybridStrategy final : public ResilientStrategy {
   HybridOptions options_;
   int stages_now_ = 1;
   std::vector<std::size_t> part_sizes_;  ///< param count per current stage
-  std::unique_ptr<PipelineStage> stage_;
+  std::unique_ptr<nn::Sequential> part_;  ///< this rank's stage of the model
+  std::unique_ptr<nn::Optimizer> optimizer_;
+  std::unique_ptr<PipelineStage> stage_;  ///< engine over part_/optimizer_
 };
 
 }  // namespace msa::dist

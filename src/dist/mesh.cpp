@@ -1,12 +1,24 @@
 #include "dist/mesh.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 namespace msa::dist {
+
+namespace {
+
+/// Ranks 0..n-1 of a communicator of size @p n.
+std::vector<int> all_ranks(int n) {
+  std::vector<int> ranks(static_cast<std::size_t>(n));
+  std::iota(ranks.begin(), ranks.end(), 0);
+  return ranks;
+}
+
+}  // namespace
 
 Mesh::Coord Mesh::carve(comm::Comm& world, const MeshOptions& options) {
   const int size = world.size();
@@ -16,6 +28,7 @@ Mesh::Coord Mesh::carve(comm::Comm& world, const MeshOptions& options) {
         "Mesh: world size must be a positive multiple of pipeline_stages");
   }
   const int D = size / S;
+  if (S == 1) return Coord{0, world.rank(), false};
 
   // Placement key: module-major, then node, then device.  Ties (and the
   // topology-unaware mode) fall back to communicator rank order, which every
@@ -66,13 +79,17 @@ Mesh::Coord Mesh::carve(comm::Comm& world, const MeshOptions& options) {
 }
 
 Mesh::Mesh(comm::Comm& world, MeshOptions options)
-    : world_(world),
-      coord_(carve(world_, options)),
+    : coord_(carve(world, options)),
       stages_(options.pipeline_stages),
-      replicas_(world_.size() / options.pipeline_stages),
+      replicas_(world.size() / options.pipeline_stages),
       // Row: my stage's replicas, ranked by replica index.  Column: my
-      // replica chain's stages, ranked by stage index.  Both collective.
-      data_(world_.split(coord_.stage, coord_.replica)),
-      pipe_(world_.split(coord_.replica, coord_.stage)) {}
+      // replica chain's stages, ranked by stage index.  Both collective,
+      // except with one stage: the row is the world, the column me.
+      data_(stages_ == 1 ? world.split_known(0, all_ranks(world.size()))
+                         : world.split(coord_.stage, coord_.replica)),
+      pipe_(stages_ == 1
+                ? world.split_known(world.rank(), std::array{world.rank()})
+                : world.split(coord_.replica, coord_.stage)),
+      world_(world) {}
 
 }  // namespace msa::dist

@@ -14,9 +14,13 @@
 // Both splits are collective and deterministic, so every member of the mesh
 // agrees on the grid without any central coordinator.
 //
+// A one-stage mesh (S = 1, plain data parallelism) is known without asking:
+// data() is the whole world in rank order and pipe() this rank alone, both
+// made by Comm::split_known, so carving it sends nothing.
+//
 // With `topology_aware = false` members keep communicator rank order (stage
-// = rank / D), which reproduces the legacy PipelineStage placement (D == 1
-// => stage == rank) and gives tests a placement-independent grid.
+// = rank / D; D == 1 => stage == rank), which gives tests a
+// placement-independent grid.
 #pragma once
 
 #include "comm/comm.hpp"
@@ -34,11 +38,14 @@ struct MeshOptions {
 class Mesh {
  public:
   /// Collective over @p world: every member must construct the Mesh with the
-  /// same options.  Throws std::invalid_argument when the world size is not
-  /// divisible by pipeline_stages.
+  /// same options.  The carve runs on @p world itself, so its split sequence
+  /// advances and a later split of it cannot reuse a mesh communicator's id.
+  /// Throws std::invalid_argument when the world size is not divisible by
+  /// pipeline_stages.
   explicit Mesh(comm::Comm& world, MeshOptions options = {});
 
-  /// The full communicator the mesh was carved from (handle copy).
+  /// The communicator the mesh was carved from (a handle copy taken after
+  /// the carve).
   [[nodiscard]] comm::Comm& world() { return world_; }
   /// Data-parallel axis: the replicas of my pipeline stage.
   [[nodiscard]] comm::Comm& data() { return data_; }
@@ -68,16 +75,17 @@ class Mesh {
     int replica = 0;
     bool crosses_modules = false;
   };
-  /// The collective part of carving: agree on the placement order, find my
-  /// grid coordinate.  Throws on a non-divisible world.
+  /// The collective part of carving (none when S = 1): agree on the
+  /// placement order, find my grid coordinate.  Throws on a non-divisible
+  /// world.
   static Coord carve(comm::Comm& world, const MeshOptions& options);
 
-  comm::Comm world_;
   Coord coord_;
   int stages_ = 1;
   int replicas_ = 1;
   comm::Comm data_;
   comm::Comm pipe_;
+  comm::Comm world_;
 };
 
 }  // namespace msa::dist

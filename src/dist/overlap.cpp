@@ -1,9 +1,9 @@
 #include "dist/overlap.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
-#include "dist/distributed.hpp"
 #include "obs/trace.hpp"
 
 namespace msa::dist {
@@ -66,7 +66,6 @@ void OverlappedReducer::begin_step() {
   }
   std::fill(seen_.begin(), seen_.end(), 0);
   launched_in_backward_ = 0;
-  charged_flops_ = 0.0;
 }
 
 std::span<float> OverlappedReducer::bucket(std::size_t b) const {
@@ -114,13 +113,6 @@ void OverlappedReducer::launch_bucket(std::size_t b) {
 }
 
 void OverlappedReducer::on_layer_backward(nn::Layer& layer) {
-  // Charge this layer's backward arithmetic first (2x forward, the standard
-  // estimate) so the buckets it completes are issued at an honest sim time.
-  const double flops = 2.0 * layer.forward_flops();
-  if (flops > 0.0) {
-    comm_.charge_compute(flops, 0.0);
-    charged_flops_ += flops;
-  }
   const auto& ranges = store_.ranges();
   for (nn::Tensor* g : layer.grads()) {
     const std::size_t idx = store_.index_of_grad(g);

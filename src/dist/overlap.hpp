@@ -13,15 +13,40 @@
 // rank placement and decides eligibility (equal-size groups, both levels
 // non-trivial); it returns nothing when the topology gives the split nothing
 // to exploit, and the caller reduces flat.
+//
+// OverlappedReducer, below, is the one gradient-averaging path of training:
+// it reduces a stage's gradient slab over the data axis, flat or through
+// this composition.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "comm/comm.hpp"
+#include "dist/compression.hpp"
+#include "nn/layer.hpp"
+#include "nn/param_store.hpp"
 
 namespace msa::dist {
+
+/// Options for gradient reduction.
+struct AllreduceOptions {
+  std::size_t bucket_bytes = 4u << 20;  ///< Horovod-style tensor fusion size
+  bool fp16_compression = false;        ///< halve wire traffic via binary16
+  /// Launch each bucket's allreduce nonblocking as soon as the backward pass
+  /// finalises its gradients (Horovod's overlap), draining before the
+  /// optimizer.  Bucket boundaries and per-bucket reduction calls are the
+  /// same as without it, so results match bit for bit.
+  bool overlap = false;
+  /// Compose intra-node ring reduce-scatter/allgather with an inter-node
+  /// allreduce (see overlap.hpp).  Ignored when the machine topology gives
+  /// the split nothing to exploit.
+  bool hierarchical = false;
+  std::optional<simnet::CollectiveAlgorithm> algorithm;  ///< force algorithm
+};
+
 
 /// Which placement field defines the "close" group.
 enum class HierarchyLevel {
@@ -77,5 +102,78 @@ void hierarchical_allreduce(
                     simnet::CollectiveAlgorithm::BinomialTree);
   }
 }
+
+/// The one gradient-averaging path over a data axis (Horovod's tensor
+/// fusion, fp16 compression and backward overlap, Sec. III-A).  The gradient
+/// slab is cut into fixed offset-range buckets of bucket_bytes; each bucket
+/// is summed across the communicator — as binary16 under fp16_compression,
+/// through the reducer's own intra/cross split under `hierarchical` when the
+/// topology has one — and scaled by 1/size().
+///
+/// Without `overlap`, finish() reduces every bucket blocking, in ascending
+/// order, inside one "allreduce_grads" Comm span.  With `overlap`, the
+/// training engine (dist/pipeline.hpp) hands the reducer each layer as it
+/// finishes its backward pass, in reverse order, right after charging that
+/// layer's backward compute; the reducer launches a nonblocking reduction
+/// for every bucket the moment its last contributing layer completes, while
+/// earlier layers are still computing, and finish() drains them outside any
+/// span.
+///
+/// Determinism: each bucket's payload is final when launched and buckets
+/// are reduced independently by the same collective calls in both modes, so
+/// overlapped and blocking runs are bit-identical regardless of launch
+/// order.  Launch order only shapes the simulated timeline.
+class OverlappedReducer : public nn::BackwardObserver {
+ public:
+  /// @p comm and @p store must outlive the reducer, and @p comm must have
+  /// size() > 1.  Collective over @p comm when options.hierarchical is set
+  /// (the split is built here).
+  OverlappedReducer(comm::Comm& comm, nn::ParamStore& store,
+                    AllreduceOptions options);
+
+  /// Reset per-step tracking.  Call after zero_grads, before backward.
+  void begin_step();
+
+  /// BackwardObserver (overlap only): mark the layer's gradient ranges
+  /// ready and launch any bucket that just filled.
+  void on_layer_backward(nn::Layer& layer) override;
+
+  /// Launch every bucket not launched yet, drain, and apply the fp16 unpack
+  /// and 1/world scaling.
+  void finish();
+
+  /// True when buckets launch from backward hooks (options.overlap).
+  [[nodiscard]] bool overlapped() const { return options_.overlap; }
+
+  /// Bucket count over the grad slab.
+  [[nodiscard]] std::size_t bucket_count() const { return n_buckets_; }
+
+  /// Buckets launched from inside the backward pass this step (the rest
+  /// launched at finish()); visibility for tests and benches.
+  [[nodiscard]] std::size_t launched_in_backward() const {
+    return launched_in_backward_;
+  }
+
+ private:
+  [[nodiscard]] std::span<float> bucket(std::size_t b) const;
+  void launch_bucket(std::size_t b);
+  /// Sum @p wire (a bucket, or its binary16 image) across the data axis:
+  /// now, or deferred to the progress engine under `overlap`.
+  template <typename T>
+  void reduce(std::span<T> wire);
+
+  comm::Comm& comm_;
+  nn::ParamStore& store_;
+  AllreduceOptions options_;
+  std::optional<HierarchicalComms> hier_;
+  std::size_t bucket_elems_;
+  std::size_t n_buckets_;
+  std::vector<std::size_t> remaining_;   // unready elements per bucket
+  std::vector<char> launched_;           // per bucket
+  std::vector<char> seen_;               // per registered grad tensor
+  std::vector<std::vector<Half>> half_;  // per-bucket fp16 wire scratch
+  std::vector<comm::Request> requests_;
+  std::size_t launched_in_backward_ = 0;
+};
 
 }  // namespace msa::dist

@@ -41,35 +41,63 @@ nn::Tensor unpack_tensor(const std::vector<float>& packed) {
 
 }  // namespace
 
-nn::Sequential& PipelineStage::checked_stage() {
-  if (!stage_) throw std::invalid_argument("PipelineStage: null stage");
-  return *stage_;
-}
-
-PipelineStage::PipelineStage(Mesh mesh, std::unique_ptr<nn::Sequential> stage,
-                             std::unique_ptr<nn::Optimizer> optimizer,
+PipelineStage::PipelineStage(Mesh mesh, nn::Layer& stage,
+                             nn::Optimizer& optimizer,
                              AllreduceOptions allreduce)
     : mesh_(std::move(mesh)),
-      stage_(std::move(stage)),
-      optimizer_(std::move(optimizer)),
-      store_(checked_stage()),
-      xfer_(mesh_.pipe().dup()) {
-  if (!optimizer_) {
-    throw std::invalid_argument("PipelineStage: null optimizer");
-  }
-  store_.attach_optimizer(*optimizer_);
+      stage_(stage),
+      optimizer_(optimizer),
+      store_(stage_),
+      xfer_(mesh_.stages() > 1 ? mesh_.pipe().dup() : mesh_.pipe()) {
+  store_.attach_optimizer(optimizer_);
   if (mesh_.data().size() > 1) {
     reducer_.emplace(mesh_.data(), store_, allreduce);
   }
 }
 
-PipelineStage::PipelineStage(comm::Comm& comm,
-                             std::unique_ptr<nn::Sequential> stage,
-                             std::unique_ptr<nn::Optimizer> optimizer)
-    : PipelineStage(
-          Mesh(comm, MeshOptions{/*pipeline_stages=*/comm.size(),
-                                 /*topology_aware=*/false}),
-          std::move(stage), std::move(optimizer)) {}
+void PipelineStage::charge(double flops) {
+  mesh_.world().charge_compute(flops, 0.0);
+}
+
+nn::Tensor PipelineStage::forward(const nn::Tensor& x, bool training,
+                                  const char* name) {
+  nn::Tensor out;
+  {
+    obs::ScopedSpan span(obs::Category::Compute, name);
+    out = stage_.forward(x, training);
+  }
+  charge(stage_.forward_flops());
+  return out;
+}
+
+nn::Tensor PipelineStage::backward(const nn::Tensor& grad, bool final_grads) {
+  const double owed = 2.0 * stage_.forward_flops();
+  // The final backward finalises the accumulated gradients layer by layer
+  // (reverse order) — exactly when the overlapped reducer may launch
+  // buckets, each at the sim time its layer's backward was charged.
+  const bool hooked = final_grads && reducer_ && reducer_->overlapped();
+  if (final_grads && reducer_) reducer_->begin_step();
+  hooked_flops_ = 0.0;
+  if (hooked) stage_.set_backward_observer(this);
+  nn::Tensor out;
+  {
+    obs::ScopedSpan span(obs::Category::Compute, "backward");
+    out = stage_.backward(grad);
+  }
+  if (hooked) stage_.set_backward_observer(nullptr);
+  const double rest = owed - hooked_flops_;
+  if (!hooked || rest > 0.0) charge(rest);
+  return out;
+}
+
+void PipelineStage::on_layer_backward(nn::Layer& layer) {
+  const double flops = 2.0 * layer.forward_flops();
+  if (flops > 0.0) {
+    charge(flops);
+    hooked_flops_ += flops;
+  }
+  reducer_->on_layer_backward(layer);
+}
 
 void PipelineStage::send_tensor(const nn::Tensor& t, int dest_stage, int tag) {
   const std::vector<float> packed = pack_tensor(t);
@@ -106,57 +134,56 @@ nn::Tensor PipelineStage::take(Pending& p, const char* bubble_name) {
   return unpack_tensor(*p.packed);
 }
 
-float PipelineStage::step_classification(
-    const std::vector<nn::Tensor>& micro_inputs,
-    const std::vector<std::vector<std::int32_t>>& micro_labels) {
+StepResult PipelineStage::step_classification(
+    std::span<const nn::Tensor> micro_inputs,
+    std::span<const std::vector<std::int32_t>> micro_labels) {
   if (micro_inputs.size() != micro_labels.size() || micro_inputs.empty()) {
     throw std::invalid_argument("pipeline step: bad microbatch lists");
   }
-  obs::ScopedSpan step_span(obs::Category::Step, "pipe_step");
+  obs::ScopedSpan step_span(obs::Category::Step, "step");
   const int M = static_cast<int>(micro_inputs.size());
   const int S = mesh_.stages();
   const int s = mesh_.stage();
-  comm::Comm& world = mesh_.world();
+  // 1F1B: W warmup forwards, then one-forward-one-backward, then cooldown.
+  const int W = std::min(M, S - 1 - s);
   store_.zero_grads();
 
   std::vector<Pending> act_pending(static_cast<std::size_t>(M));
   std::vector<Pending> grad_pending(static_cast<std::size_t>(M));
   // Stage inputs stashed per in-flight microbatch: layers single-buffer
   // their forward caches, so a backward whose forward was overwritten by a
-  // later microbatch recomputes it from here (activation checkpointing).
-  std::vector<nn::Tensor> inputs(static_cast<std::size_t>(M));
+  // later microbatch (only with warmup forwards) recomputes it from here
+  // (activation checkpointing).
+  std::vector<nn::Tensor> inputs(static_cast<std::size_t>(W > 0 ? M : 0));
+  const auto grad_scale = static_cast<float>(loss_scale_ / M);
   nn::Tensor loss_grad;  // last stage only: gradient of the pending loss
   double loss_sum = 0.0;
+  double acc_sum = 0.0;
   int last_forward = -1;
 
   auto forward_one = [&](int i) {
     const auto ui = static_cast<std::size_t>(i);
-    nn::Tensor act;
-    if (is_first()) {
-      act = micro_inputs[ui];
-    } else {
+    nn::Tensor received;
+    if (!is_first()) {
       // Post the next microbatch's receive before consuming this one, so
       // its transfer hides behind the compute in between.
       if (i + 1 < M) {
         act_pending[ui + 1] =
             prefetch_tensor(s - 1, kActTag, last_act_bytes_);
       }
-      act = take(act_pending[ui], i == 0 ? "warmup_bubble" : nullptr);
+      received = take(act_pending[ui], i == 0 ? "warmup_bubble" : nullptr);
       last_act_bytes_ = act_pending[ui].packed->size() * sizeof(float);
     }
-    inputs[ui] = act;
-    nn::Tensor out;
-    {
-      obs::ScopedSpan span(obs::Category::Compute, "forward");
-      out = stage_->forward(act, /*training=*/true);
-    }
-    world.charge_compute(stage_->forward_flops(), 0.0);
+    const nn::Tensor& act = is_first() ? micro_inputs[ui] : received;
+    if (W > 0) inputs[ui] = act;
+    const nn::Tensor out = forward(act, /*training=*/true, "forward");
     last_forward = i;
     if (is_last()) {
       auto res = nn::softmax_cross_entropy(out, micro_labels[ui]);
       // Scale so the accumulated gradient is the mean over microbatches.
-      res.grad.scale_(1.0f / static_cast<float>(M));
+      res.grad.scale_(grad_scale);
       loss_sum += res.loss;
+      if (S == 1) acc_sum += nn::accuracy(out, micro_labels[ui]);
       loss_grad = std::move(res.grad);
     } else {
       send_tensor(out, s + 1, kActTag);
@@ -174,39 +201,17 @@ float PipelineStage::step_classification(
       last_grad_bytes_ = grad_pending[ui].packed->size() * sizeof(float);
     }
     if (last_forward != i) {
-      obs::ScopedSpan span(obs::Category::Compute, "recompute");
-      (void)stage_->forward(inputs[ui], /*training=*/true);
-      world.charge_compute(stage_->forward_flops(), 0.0);
+      (void)forward(inputs[ui], /*training=*/true, "recompute");
       last_forward = i;
     }
-    const double fwd_flops = stage_->forward_flops();
-    // The last microbatch's backward finalises the accumulated gradients
-    // layer by layer (reverse order) — exactly when the overlapped reducer
-    // may launch buckets.  Earlier backwards only accumulate.
-    const bool final_grads = i == M - 1 && reducer_.has_value();
-    const bool hooked = final_grads && reducer_->overlapped();
-    if (final_grads) reducer_->begin_step();
-    if (hooked) stage_->set_backward_observer(&*reducer_);
-    nn::Tensor grad_out;
-    {
-      obs::ScopedSpan span(obs::Category::Compute, "backward");
-      grad_out = stage_->backward(grad_in);
-    }
+    const bool final_grads = i == M - 1;
+    const nn::Tensor grad_out = backward(grad_in, final_grads);
     // Ship the upstream gradient before our own reduction: the previous
     // stage's schedule must not stall on our allreduce.
     if (!is_first()) send_tensor(grad_out, s - 1, kGradTag);
-    if (hooked) {
-      stage_->set_backward_observer(nullptr);
-      const double rem = 2.0 * fwd_flops - reducer_->charged_flops();
-      if (rem > 0.0) world.charge_compute(rem, 0.0);
-    } else {
-      world.charge_compute(2.0 * fwd_flops, 0.0);
-    }
-    if (final_grads) reducer_->finish();
+    if (final_grads && reducer_) reducer_->finish();
   };
 
-  // 1F1B: warmup forwards, steady one-forward-one-backward, cooldown.
-  const int W = std::min(M, S - 1 - s);
   if (!is_first()) {
     act_pending[0] = prefetch_tensor(s - 1, kActTag, last_act_bytes_);
   }
@@ -221,9 +226,12 @@ float PipelineStage::step_classification(
   // sweep over the slabs.
   {
     obs::ScopedSpan span(obs::Category::Compute, "optimizer");
-    store_.step(*optimizer_);
+    store_.step(optimizer_);
   }
 
+  if (S == 1) {
+    return {static_cast<float>(loss_sum / M), acc_sum / M};
+  }
   // Mean loss over the global batch: average the replica means across the
   // data axis on the last stage, then broadcast down the pipe.
   float loss = static_cast<float>(loss_sum / M);
@@ -233,25 +241,19 @@ float PipelineStage::step_classification(
     loss = static_cast<float>(v[0] / mesh_.data().size());
   }
   std::array<float, 1> buf = {loss};
-  if (S > 1) mesh_.pipe().bcast(std::span<float>(buf), S - 1);
-  return buf[0];
+  mesh_.pipe().bcast(std::span<float>(buf), S - 1);
+  return {buf[0], 0.0};
 }
 
 nn::Tensor PipelineStage::forward_inference(const nn::Tensor& x,
                                             bool broadcast_result) {
   const int s = mesh_.stage();
-  nn::Tensor act;
-  if (is_first()) {
-    act = x;
-  } else {
-    act = unpack_tensor(xfer_.recv_any_size<float>(s - 1, kActTag));
+  nn::Tensor received;
+  if (!is_first()) {
+    received = unpack_tensor(xfer_.recv_any_size<float>(s - 1, kActTag));
   }
-  nn::Tensor out;
-  {
-    obs::ScopedSpan span(obs::Category::Compute, "forward");
-    out = stage_->forward(act, /*training=*/false);
-  }
-  mesh_.world().charge_compute(stage_->forward_flops(), 0.0);
+  nn::Tensor out =
+      forward(is_first() ? x : received, /*training=*/false, "forward");
   if (!is_last()) {
     send_tensor(out, s + 1, kActTag);
     out = nn::Tensor{};

@@ -1,6 +1,8 @@
-// Pipeline (model) parallelism over the dist::Mesh — the complementary axis
-// to Horovod-style data parallelism (paper Sec. III-A), composed with it
-// into true hybrid DP x PP.
+// The training engine: one rank's stage of a DP x PP mesh (dist::Mesh).
+// Pipeline (model) parallelism is the axis complementary to Horovod-style
+// data parallelism (paper Sec. III-A); plain data parallelism is its
+// one-stage case (S = 1, DistributedTrainer), and every training step in
+// msalib runs here.
 //
 // The model is partitioned into consecutive stages, one per pipeline rank of
 // the mesh.  A global batch is split into microbatches driven through a 1F1B
@@ -17,6 +19,12 @@
 // spans: the classic pipeline bubble becomes a first-class attribution
 // category.
 //
+// Simulated compute is charged by one rule: a forward (or recompute) its
+// flops as soon as it has run; a backward 2x its forward's flops as soon as
+// it has run — per layer as each finishes while the overlapped reducer
+// watches the final backward, then whatever the layers did not cover — and
+// always before its upstream gradient leaves the stage.
+//
 // In-flight microbatches share the stage's single forward-cache buffers, so
 // each backward recomputes its forward from the stashed stage input when
 // another forward intervened (activation checkpointing; recompute arithmetic
@@ -29,23 +37,24 @@
 // keeps even that reproducible, but prefer norm-free stages for exactness.
 //
 // Across the mesh's data axis the stage's gradient slab is averaged by the
-// same OverlappedReducer as plain data parallelism: bucketed slab-range
-// allreduce, optional fp16 wire compression, optional hierarchical
-// intra/inter-node composition.  The reducer runs right after the last
-// microbatch's backward — the one whose completion finalises the
-// accumulated gradients — and under `overlap` is installed as that
-// backward's observer, so its buckets launch while the backward runs.
+// OverlappedReducer: bucketed slab-range allreduce, optional fp16 wire
+// compression, optional hierarchical intra/inter-node composition.  The
+// reducer runs right after the last microbatch's backward — the one whose
+// completion finalises the accumulated gradients — and under `overlap` is
+// handed each layer of that backward as it completes, so its buckets launch
+// while the backward runs.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "comm/comm.hpp"
 #include "comm/request.hpp"
-#include "dist/distributed.hpp"
 #include "dist/mesh.hpp"
+#include "dist/overlap.hpp"
 #include "nn/layer.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -53,37 +62,41 @@
 
 namespace msa::dist {
 
+/// Result of one optimisation step.
+struct StepResult {
+  float loss = 0.0f;      ///< mean microbatch loss (see step_classification)
+  double accuracy = 0.0;  ///< one-stage meshes only; 0 in a pipeline
+};
+
 /// One rank's stage of a (possibly data-parallel-replicated) pipeline.
-class PipelineStage {
+class PipelineStage : private nn::BackwardObserver {
  public:
   /// Hybrid DP x PP over @p mesh: this rank runs pipeline stage
   /// mesh.stage() of replica chain mesh.replica().  @p stage is this rank's
   /// sub-network (stage 0 consumes inputs, the last stage holds the head +
-  /// loss).  Parameters, gradients and optimizer state are relocated into
-  /// contiguous ParamStore slabs.  @p allreduce configures the gradient
-  /// reduction across the data axis — the same knobs as DistributedTrainer.
-  /// Collective over the mesh.
-  PipelineStage(Mesh mesh, std::unique_ptr<nn::Sequential> stage,
-                std::unique_ptr<nn::Optimizer> optimizer,
+  /// loss); its parameters, gradients and @p optimizer's state are
+  /// relocated into contiguous ParamStore slabs.  Both must outlive the
+  /// engine.  @p allreduce configures the gradient reduction across the
+  /// data axis.  Collective over the mesh when it has more than one stage
+  /// (the transfer channel is a dup of the pipe axis) and under
+  /// allreduce.hierarchical.
+  PipelineStage(Mesh mesh, nn::Layer& stage, nn::Optimizer& optimizer,
                 AllreduceOptions allreduce = {});
-
-  /// Legacy pure-pipeline form: one stage per communicator rank, in rank
-  /// order (a [size x 1] mesh carved without topology awareness).
-  PipelineStage(comm::Comm& comm, std::unique_ptr<nn::Sequential> stage,
-                std::unique_ptr<nn::Optimizer> optimizer);
 
   PipelineStage(const PipelineStage&) = delete;
   PipelineStage& operator=(const PipelineStage&) = delete;
 
-  /// One training step over @p microbatches (classification) under the 1F1B
-  /// schedule.  Every rank passes the *full* list of its replica's
+  /// One training step over the microbatches (classification) under the
+  /// 1F1B schedule.  Every rank passes the *full* list of its replica's
   /// microbatch inputs/labels; only the first stage consumes the inputs and
-  /// only the last stage the labels.  Returns the mean loss over the
-  /// replica's microbatches, averaged across data-parallel replicas and
-  /// broadcast to every stage.
-  float step_classification(
-      const std::vector<nn::Tensor>& micro_inputs,
-      const std::vector<std::vector<std::int32_t>>& micro_labels);
+  /// only the last stage the labels.  Each microbatch's loss gradient is
+  /// scaled by the loss scale / M.  With one stage the result is this
+  /// rank's own mean loss and accuracy over its microbatches; in a pipeline
+  /// it is the mean loss averaged across data-parallel replicas and
+  /// broadcast to every stage, with accuracy 0.
+  StepResult step_classification(
+      std::span<const nn::Tensor> micro_inputs,
+      std::span<const std::vector<std::int32_t>> micro_labels);
 
   /// Inference over one batch: feeds forward through the stage chain.
   /// Returns logits on the last stage.  By default every other stage
@@ -95,10 +108,20 @@ class PipelineStage {
   nn::Tensor forward_inference(const nn::Tensor& x,
                                bool broadcast_result = false);
 
-  [[nodiscard]] nn::Sequential& stage() { return *stage_; }
-  [[nodiscard]] nn::Optimizer& optimizer() { return *optimizer_; }
+  /// Scale applied to the loss gradient before backward.  Under weighted
+  /// (throughput-aware) micro-batching each rank's gradient is a mean over a
+  /// different row count b_r; scaling by P*b_r/B_total makes the 1/P
+  /// average over the data axis equal the true global-batch mean.
+  /// 1.0 = uniform.
+  void set_loss_scale(double scale) { loss_scale_ = scale; }
+
+  [[nodiscard]] nn::Layer& stage() { return stage_; }
   [[nodiscard]] nn::ParamStore& param_store() { return store_; }
   [[nodiscard]] Mesh& mesh() { return mesh_; }
+  /// The data-axis gradient reducer; null when the stage has one replica.
+  [[nodiscard]] const OverlappedReducer* reducer() const {
+    return reducer_ ? &*reducer_ : nullptr;
+  }
   [[nodiscard]] bool is_first() const { return mesh_.is_first_stage(); }
   [[nodiscard]] bool is_last() const { return mesh_.is_last_stage(); }
 
@@ -109,7 +132,20 @@ class PipelineStage {
     std::shared_ptr<std::vector<float>> packed;
   };
 
-  nn::Sequential& checked_stage();
+  /// Run the stage forward on @p x inside a Compute span named @p name,
+  /// then charge its flops.
+  nn::Tensor forward(const nn::Tensor& x, bool training, const char* name);
+  /// Run the stage backward and charge it 2x its forward's flops: per layer
+  /// through on_layer_backward when @p final_grads and the reducer
+  /// overlaps, the remainder after.  @p final_grads marks the step's last
+  /// backward, which finalises the gradients the reducer averages.
+  nn::Tensor backward(const nn::Tensor& grad, bool final_grads);
+  /// The one place training charges simulated compute.
+  void charge(double flops);
+  /// BackwardObserver of the final backward under overlap: charge the
+  /// layer's backward, then hand the layer to the reducer.
+  void on_layer_backward(nn::Layer& layer) override;
+
   /// Pack (shape header + data) and send on the transfer comm (buffered —
   /// never blocks the schedule).
   void send_tensor(const nn::Tensor& t, int dest_stage, int tag);
@@ -126,17 +162,20 @@ class PipelineStage {
   nn::Tensor take(Pending& p, const char* bubble_name);
 
   Mesh mesh_;
-  std::unique_ptr<nn::Sequential> stage_;
-  std::unique_ptr<nn::Optimizer> optimizer_;
+  nn::Layer& stage_;
+  nn::Optimizer& optimizer_;
   nn::ParamStore store_;
   /// Dedicated p2p channel for the deferred activation/gradient stream.
   /// Stages post different numbers of deferred ops (first: M, middle: 2M,
   /// last: M), and every deferred op reserves a collective-tag window on
   /// its communicator — on a dup this cannot desynchronise the pipe
   /// communicator's collective sequence (used for the loss/logits bcast).
+  /// With one stage there is no stream, and this is the pipe axis itself.
   comm::Comm xfer_;
   /// Data-axis gradient reducer; null when the stage has one replica.
   std::optional<OverlappedReducer> reducer_;
+  double loss_scale_ = 1.0;
+  double hooked_flops_ = 0.0;  ///< backward flops charged per layer this pass
   std::uint64_t last_act_bytes_ = 0;
   std::uint64_t last_grad_bytes_ = 0;
 };

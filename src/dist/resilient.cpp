@@ -75,69 +75,18 @@ nn::Checkpoint prev_generation(const std::string& prefix) {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// DataParallelStrategy
-
-DataParallelStrategy::DataParallelStrategy(comm::Comm& comm, nn::Layer& model,
-                                           nn::Optimizer& opt)
-    : comm_(comm), opt_(opt), trainer_(comm_, model, opt_) {}
-
-StateBlob DataParallelStrategy::capture_state() {
-  nn::ParamStore& store = trainer_.param_store();
-  const auto params = store.param_span();
-  const auto opt_state = store.opt_span();
-  StateBlob blob;
-  blob.params.assign(params.begin(), params.end());
-  blob.opt_state.assign(opt_state.begin(), opt_state.end());
-  blob.scalars = opt_.scalar_state();
-  return blob;
-}
-
-void DataParallelStrategy::load_state(const StateBlob& blob) {
-  nn::ParamStore& store = trainer_.param_store();
-  std::copy(blob.params.begin(), blob.params.end(),
-            store.param_span().begin());
-  std::copy(blob.opt_state.begin(), blob.opt_state.end(),
-            store.opt_span().begin());
-  opt_.restore_scalar_state(blob.scalars);
-}
-
-void DataParallelStrategy::align_initial() {
-  broadcast_parameters(comm_, trainer_.param_store());
-}
-
-void DataParallelStrategy::align_restored() {
-  // Re-broadcast on the fabric so every survivor is bit-identical even if a
-  // local snapshot was somehow torn.  Charged like any bcast.
-  broadcast_parameters(comm_, trainer_.param_store());
-  auto opt_span = trainer_.param_store().opt_span();
-  if (!opt_span.empty()) comm_.bcast(opt_span, /*root=*/0);
-}
-
-// ---------------------------------------------------------------------------
-// ResilientTrainer
-
-ResilientTrainer::ResilientTrainer(comm::Comm& comm, nn::Layer& model,
-                                   nn::Optimizer& opt,
-                                   ResilientOptions options)
-    : ResilientTrainer(
-          comm,
-          [&model, &opt](comm::Comm& c) {
-            return std::make_unique<DataParallelStrategy>(c, model, opt);
-          },
-          options) {}
-
 ResilientTrainer::ResilientTrainer(comm::Comm& comm,
-                                   const StrategyFactory& make,
+                                   HybridStrategy::ModelFactory model,
+                                   HybridStrategy::OptimizerFactory optimizer,
+                                   HybridOptions hybrid,
                                    ResilientOptions options)
-    : comm_(comm), world_(comm), options_(std::move(options)) {
-  if (!make) throw std::invalid_argument("ResilientTrainer: null factory");
-  strategy_ = make(comm_);
-  if (!strategy_) throw std::invalid_argument("ResilientTrainer: null strategy");
+    : comm_(comm),
+      world_(comm),
+      options_(std::move(options)),
+      weighted_shards_(hybrid.pipeline_stages == 1) {
   comm_.set_wall_backstop(options_.wall_backstop_s, options_.backstop_retries);
   world_.set_wall_backstop(options_.wall_backstop_s, options_.backstop_retries);
   health_ = HealthMonitor(options_.health);
-  grad_scale_supported_ = strategy_->set_grad_scale(1.0);
   if (options_.health.adaptive_backstop) {
     // Rung 1 of the mitigation ladder: per-peer EWMA timeouts replace the
     // fixed backstop.  Installed on world_ too so shrink children inherit it.
@@ -146,13 +95,14 @@ ResilientTrainer::ResilientTrainer(comm::Comm& comm,
     comm_.set_backstop_policy(adaptive_backstop_.get());
     world_.set_backstop_policy(adaptive_backstop_.get());
   }
+  strategy_.emplace(comm_, std::move(model), std::move(optimizer), hybrid);
   report_.final_world = comm_.size();
 }
 
 void ResilientTrainer::rearm_health(std::size_t batch_size) {
   if (!options_.health.enabled) return;
   health_.reset(comm_, static_cast<int>(batch_size));
-  if (grad_scale_supported_) strategy_->set_grad_scale(1.0);
+  strategy_->set_loss_scale(1.0);
 }
 
 void ResilientTrainer::apply_health_decision(const HealthDecision& decision,
@@ -330,15 +280,26 @@ TrainResult ResilientTrainer::train_classification(
   take_snapshot(/*epoch=*/0, /*batch=*/0, /*global_step=*/0);
   rearm_health(batch_size);
   // Throughput-aware re-sharding slices the epoch permutation into weighted
-  // contiguous blocks instead of the uniform strided shard; it needs the
-  // strategy to honour gradient re-weighting (plain DP does, a mesh keeps
-  // uniform shards and still gets detection + demotion).
+  // contiguous blocks instead of the uniform strided shard; it needs
+  // gradient re-weighting (plain DP honours it, a pipeline keeps uniform
+  // shards and still gets detection + demotion).
   const bool weighted = options_.health.enabled && options_.health.rebalance &&
-                        grad_scale_supported_;
+                        weighted_shards_;
 
   int epoch = 0;
   int batch = 0;
   int global_step = 0;
+  // Called from a handler: rethrows the failure once recoveries run out.
+  auto roll_back = [&] {
+    if (report_.recoveries >= options_.max_recoveries) throw;
+    ++report_.recoveries;
+    recover();
+    report_.steps_replayed += global_step - snap_.global_step;
+    epoch = snap_.epoch;
+    batch = snap_.batch;
+    global_step = snap_.global_step;
+    rearm_health(batch_size);
+  };
   while (epoch < epochs) {
     try {
       const auto [shard_rank, shard_count] = strategy_->data_shard();
@@ -377,7 +338,7 @@ TrainResult ResilientTrainer::train_classification(
           // Unequal row counts need re-weighted gradients: scaling rank r's
           // loss grad by P*b_r/B_total makes the 1/P allreduce average equal
           // the true global-batch mean.
-          strategy_->set_grad_scale(static_cast<double>(rows) *
+          strategy_->set_loss_scale(static_cast<double>(rows) *
                                     static_cast<double>(shard_count) /
                                     static_cast<double>(b_total));
         } else {
@@ -408,25 +369,11 @@ TrainResult ResilientTrainer::train_classification(
         take_snapshot(epoch, 0, global_step);
       }
     } catch (const comm::RankFailedError&) {
-      if (report_.recoveries >= options_.max_recoveries) throw;
-      ++report_.recoveries;
-      recover();
-      report_.steps_replayed += global_step - snap_.global_step;
-      epoch = snap_.epoch;
-      batch = snap_.batch;
-      global_step = snap_.global_step;
-      rearm_health(batch_size);
+      roll_back();
     } catch (const comm::CommTimeoutError&) {
       // No rank is known dead — an extreme transient.  Roll back to the
       // snapshot on the (unchanged) communicator and retry.
-      if (report_.recoveries >= options_.max_recoveries) throw;
-      ++report_.recoveries;
-      recover();
-      report_.steps_replayed += global_step - snap_.global_step;
-      epoch = snap_.epoch;
-      batch = snap_.batch;
-      global_step = snap_.global_step;
-      rearm_health(batch_size);
+      roll_back();
     }
   }
 

@@ -3,37 +3,36 @@
 // detect a dead worker, rebuild the communicator around it, restore
 // replicated state, re-shard the data, continue).
 //
-// ResilientTrainer is a strategy-agnostic resilience loop.  It owns the
-// communicator lifecycle and drives a ResilientStrategy — the object that
-// knows how one parallelism layout (plain data parallelism, a hybrid
-// DP x PP mesh, ...) trains a batch, serialises its resumable state, and
-// re-wires itself over a shrunken world.  The loop supplies:
+// ResilientTrainer is the resilience loop around one HybridStrategy
+// (dist/hybrid.hpp): plain data parallelism with HybridOptions{}, or a
+// DP x PP mesh.  It owns the communicator lifecycle; the strategy trains a
+// batch, serialises its resumable state, and re-partitions itself over a
+// shrunken world.  The loop supplies:
 //   * periodic in-memory snapshots of the strategy's state blob, plus
 //     optional atomic on-disk checkpoints via nn/serialize,
 //   * failure detection through the comm layer's typed errors
 //     (RankFailedError from the liveness board, CommTimeoutError from the
 //     wall-clock backstop),
 //   * deterministic Comm::shrink around the dead set, strategy rebuild
-//     (e.g. pipeline stage re-partitioning), snapshot restore, state
+//     (pipeline stage re-partitioning), snapshot restore, state
 //     re-broadcast, and ShardedSampler re-shard over the survivors,
 //   * honest simulated cost: snapshots/restores are charged at the storage
 //     module's bandwidth and re-broadcasts ride the normal fabric model.
 //
-// With no faults armed, driving the default DataParallelStrategy is
-// bit-identical to driving DistributedTrainer directly (snapshots copy
-// state but never mutate it).
+// With no faults armed, a one-stage run is bit-identical to driving
+// DistributedTrainer directly (snapshots copy state but never mutate it).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "comm/comm.hpp"
 #include "dist/distributed.hpp"
 #include "dist/health.hpp"
+#include "dist/hybrid.hpp"
 
 namespace msa::dist {
 
@@ -74,122 +73,16 @@ struct TrainResult {
   double accuracy = 0.0;   ///< final-epoch accuracy, averaged across survivors
 };
 
-/// The strategy's resumable state, as captured at a snapshot boundary.
-/// Must be identical on every rank and sufficient to resume after *any*
-/// membership change (a mesh strategy therefore captures the full model,
-/// not just this rank's shard).
-struct StateBlob {
-  std::vector<float> params;
-  std::vector<float> opt_state;
-  std::vector<double> scalars;  ///< optimizer scalar state (e.g. Adam's t)
-  [[nodiscard]] std::uint64_t byte_size() const {
-    return (params.size() + opt_state.size()) * sizeof(float) +
-           scalars.size() * sizeof(double);
-  }
-};
-
-/// One parallelism layout under the resilience loop.  Implementations keep a
-/// reference to the loop's communicator handle (which is reseated in place
-/// on recovery) and re-derive everything else from it in rebuild().
-class ResilientStrategy {
- public:
-  virtual ~ResilientStrategy() = default;
-
-  /// Train one batch (the strategy decides microbatching etc.).
-  virtual StepResult step_classification(
-      const nn::Tensor& x, const std::vector<std::int32_t>& labels) = 0;
-
-  /// This rank's live slab store (for checkpoints and inspection).
-  virtual nn::ParamStore& param_store() = 0;
-  /// The optimizer whose scalar state rides the snapshots.
-  virtual nn::Optimizer& optimizer() = 0;
-
-  /// (shard index, shard count) for the data sampler.  Plain DP shards per
-  /// rank; a mesh shards per data-parallel replica so every stage of one
-  /// replica chain sees the same batch.
-  [[nodiscard]] virtual std::pair<int, int> data_shard() const = 0;
-
-  /// Serialise resumable state (may communicate — e.g. gather every
-  /// pipeline stage's slab so the blob is partition-independent).
-  virtual StateBlob capture_state() = 0;
-  /// Local inverse of capture_state under the *current* layout (rebuild()
-  /// runs first after a membership change).  No communication.
-  virtual void load_state(const StateBlob& blob) = 0;
-
-  /// Cross-rank parameter alignment at train start.
-  virtual void align_initial() = 0;
-  /// Cross-rank realignment (parameters + optimizer state) after
-  /// load_state during recovery.
-  virtual void align_restored() = 0;
-
-  /// Re-wire onto the (reseated, possibly shrunken) communicator — e.g.
-  /// re-partition pipeline stages over the survivors.
-  virtual void rebuild() = 0;
-
-  /// Average of a scalar across ranks (metric reporting).
-  virtual double average_metric(double value) = 0;
-
-  /// Scale the loss gradient by @p scale before backward (weighted
-  /// micro-batching under throughput-aware re-sharding).  Returns false when
-  /// the layout cannot honour it (the loop then keeps uniform shards).
-  virtual bool set_grad_scale(double /*scale*/) { return false; }
-};
-
-/// The default strategy: plain data parallelism via DistributedTrainer.
-/// Snapshot blob = this rank's slabs (all replicas identical); rebuild is a
-/// no-op because every collective adapts to the shrunken communicator.
-class DataParallelStrategy final : public ResilientStrategy {
- public:
-  /// @p comm must be the resilience loop's owned handle: the strategy keeps
-  /// the reference across recoveries.
-  DataParallelStrategy(comm::Comm& comm, nn::Layer& model, nn::Optimizer& opt);
-
-  StepResult step_classification(
-      const nn::Tensor& x, const std::vector<std::int32_t>& labels) override {
-    return trainer_.step_classification(x, labels);
-  }
-  nn::ParamStore& param_store() override { return trainer_.param_store(); }
-  nn::Optimizer& optimizer() override { return opt_; }
-  [[nodiscard]] std::pair<int, int> data_shard() const override {
-    return {comm_.rank(), comm_.size()};
-  }
-  StateBlob capture_state() override;
-  void load_state(const StateBlob& blob) override;
-  void align_initial() override;
-  void align_restored() override;
-  void rebuild() override {}
-  double average_metric(double value) override {
-    return trainer_.average_metric(value);
-  }
-  bool set_grad_scale(double scale) override {
-    trainer_.set_loss_scale(scale);
-    return true;
-  }
-
- private:
-  comm::Comm& comm_;
-  nn::Optimizer& opt_;
-  DistributedTrainer trainer_;
-};
-
 class ResilientTrainer {
  public:
-  /// Builds the strategy over the trainer's owned communicator handle.
-  /// Called exactly once during construction; the strategy must keep the
-  /// comm reference (it is reseated in place on recovery).
-  using StrategyFactory =
-      std::function<std::unique_ptr<ResilientStrategy>(comm::Comm&)>;
-
-  /// Data-parallel form (legacy): wraps model/opt in DataParallelStrategy.
-  /// @p comm is copied: the trainer owns its communicator handle so it can
-  /// swap in shrunken replacements without disturbing the caller's.
-  ResilientTrainer(comm::Comm& comm, nn::Layer& model, nn::Optimizer& opt,
-                   ResilientOptions options = {});
-
-  /// Strategy form: resilience over any parallelism layout (see
-  /// dist/hybrid.hpp for the DP x PP mesh strategy).
-  ResilientTrainer(comm::Comm& comm, const StrategyFactory& make,
-                   ResilientOptions options = {});
+  /// Resilience around a HybridStrategy built from the factories and
+  /// @p hybrid over the trainer's own communicator handle: @p comm is
+  /// copied, so the trainer can swap in shrunken replacements without
+  /// disturbing the caller's.  Collective when @p hybrid asks for more than
+  /// one stage (the mesh carve).
+  ResilientTrainer(comm::Comm& comm, HybridStrategy::ModelFactory model,
+                   HybridStrategy::OptimizerFactory optimizer,
+                   HybridOptions hybrid = {}, ResilientOptions options = {});
 
   /// Train @p epochs epochs of classification over the full dataset
   /// (@p x is [N, ...], one label per row), sharded by the strategy's
@@ -205,7 +98,7 @@ class ResilientTrainer {
   }
   /// Current communicator (shrinks as ranks die).
   [[nodiscard]] comm::Comm& comm() { return comm_; }
-  [[nodiscard]] ResilientStrategy& strategy() { return *strategy_; }
+  [[nodiscard]] HybridStrategy& strategy() { return *strategy_; }
   [[nodiscard]] const ResilienceReport& report() const { return report_; }
   /// The fail-slow monitor (decision log and digest; see dist/health.hpp).
   [[nodiscard]] const HealthMonitor& health() const { return health_; }
@@ -246,10 +139,14 @@ class ResilientTrainer {
   comm::Comm comm_;   // current communicator; reseated on recovery
   comm::Comm world_;  // original communicator: the base every shrink derives from
   ResilientOptions options_;
-  std::unique_ptr<ResilientStrategy> strategy_;
+  /// Throughput-aware re-sharding re-weights each rank's gradient, which a
+  /// pipeline cannot honour: only a one-stage layout gets it.
+  bool weighted_shards_ = false;
   HealthMonitor health_{HealthOptions{}};
   std::unique_ptr<AdaptiveBackstop> adaptive_backstop_;
-  bool grad_scale_supported_ = false;
+  /// Built after the backstops are installed, so its communicators inherit
+  /// them.
+  std::optional<HybridStrategy> strategy_;
   Snapshot snap_;
   Snapshot prev_;  // one boundary older than snap_ (see recover())
   ResilienceReport report_;

@@ -63,18 +63,18 @@ ReplicaSet::ReplicaSet(comm::Comm& world, ReplicaSetOptions options)
   // Member: build this replica's pipeline.  topology_aware = false keeps
   // stage order == sub-comm rank order == consecutive world ranks, which is
   // exactly the leader/reply wire mapping the router assumes.
-  mesh_ = std::make_unique<dist::Mesh>(
-      *sub_, dist::MeshOptions{.pipeline_stages = sub_->size(),
-                               .topology_aware = false});
+  dist::Mesh mesh(*sub_, dist::MeshOptions{.pipeline_stages = sub_->size(),
+                                           .topology_aware = false});
   tensor::Rng rng(options_.model.seed);
   auto model = nn::make_mlp(options_.model.features, options_.model.hidden,
                             options_.model.classes, rng);
   auto parts = dist::partition_model(std::move(model), sub_->size());
+  part_ = std::move(parts[static_cast<std::size_t>(mesh.stage())]);
   // Inference-only replica: the optimizer is a required PipelineStage
   // collaborator but never steps (lr 0 keeps even an accidental step inert).
-  stage_ = std::make_unique<dist::PipelineStage>(
-      *mesh_, std::move(parts[static_cast<std::size_t>(mesh_->stage())]),
-      std::make_unique<nn::Sgd>(0.0));
+  optimizer_ = std::make_unique<nn::Sgd>(0.0);
+  stage_ = std::make_unique<dist::PipelineStage>(std::move(mesh), *part_,
+                                                 *optimizer_);
 }
 
 void ReplicaSet::serve_loop() {
@@ -118,7 +118,7 @@ void ReplicaSet::serve_loop() {
         world_.charge_compute(options_.overhead_flops, 0.0);
       }
       tensor::Tensor logits = stage_->forward_inference(x, false);
-      if (mesh_->is_last_stage()) {
+      if (stage_->is_last()) {
         // Nominal watermark: this batch's flops priced on the head's own
         // roofline profile.  An injected compute-slowdown factor stretches
         // the *charged* meter but not this one, so the router's

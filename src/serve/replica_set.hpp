@@ -132,8 +132,9 @@ class ReplicaSet {
   std::optional<comm::Comm> sub_;
   std::vector<comm::Comm> channels_;   // router: one per replica
   std::optional<comm::Comm> channel_;  // member: own replica's channel
-  std::unique_ptr<dist::Mesh> mesh_;
-  std::unique_ptr<dist::PipelineStage> stage_;
+  std::unique_ptr<nn::Sequential> part_;  // member: its stage of the model
+  std::unique_ptr<nn::Optimizer> optimizer_;
+  std::unique_ptr<dist::PipelineStage> stage_;  // over part_ and optimizer_
   std::uint64_t batches_ = 0;
   double nominal_s_ = 0.0;  // head-stage cumulative nominal compute seconds
 };

@@ -357,12 +357,13 @@ TEST(Pipeline, MatchesSerialGradientAccumulation) {
     Rng rng(7);  // same init as reference
     auto model = msa::nn::make_mlp(6, {10, 8}, 3, rng);
     auto stages = msa::dist::partition_model(std::move(model), 2);
+    msa::nn::Sgd opt(0.1, 0.9);
     msa::dist::PipelineStage stage(
-        comm, std::move(stages[static_cast<std::size_t>(comm.rank())]),
-        std::make_unique<msa::nn::Sgd>(0.1, 0.9));
+        msa::dist::Mesh(comm, {.pipeline_stages = 2, .topology_aware = false}),
+        *stages[static_cast<std::size_t>(comm.rank())], opt);
     float loss = 0.0f;
     for (int step = 0; step < 3; ++step) {
-      loss = stage.step_classification(micro_x, micro_y);
+      loss = stage.step_classification(micro_x, micro_y).loss;
     }
     std::lock_guard lock(m);
     if (comm.rank() == 0) pipe_loss = loss;
@@ -401,9 +402,10 @@ TEST(Pipeline, InferenceMatchesMonolithicModel) {
     Rng rng(9);
     auto model = msa::nn::make_mlp(6, {12, 8}, 4, rng);
     auto stages = msa::dist::partition_model(std::move(model), 3);
+    msa::nn::Sgd opt(0.1);
     msa::dist::PipelineStage stage(
-        comm, std::move(stages[static_cast<std::size_t>(comm.rank())]),
-        std::make_unique<msa::nn::Sgd>(0.1));
+        msa::dist::Mesh(comm, {.pipeline_stages = 3, .topology_aware = false}),
+        *stages[static_cast<std::size_t>(comm.rank())], opt);
     Tensor out = stage.forward_inference(x);
     if (stage.is_last()) {
       std::copy(out.data(), out.data() + out.numel(), y_pipe.data());

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -33,6 +34,7 @@ using msa::dist::AdaptiveBackstop;
 using msa::dist::balanced_batch_counts;
 using msa::dist::HealthDecision;
 using msa::dist::HealthOptions;
+using msa::dist::HybridOptions;
 using msa::dist::ResilienceReport;
 using msa::dist::ResilientOptions;
 using msa::dist::ResilientTrainer;
@@ -206,10 +208,14 @@ FailSlowOutcome run_failslow(int P, const FaultPlan& plan,
   FailSlowOutcome out;
   std::mutex m;
   rt.run([&](Comm& comm) {
-    Rng rng(7);
-    auto model = msa::nn::make_mlp(features, {10}, classes, rng);
-    msa::nn::Sgd opt(0.1, 0.9);
-    ResilientTrainer trainer(comm, *model, opt, options);
+    ResilientTrainer trainer(
+        comm,
+        [&] {
+          Rng rng(7);
+          return msa::nn::make_mlp(features, {10}, classes, rng);
+        },
+        [] { return std::make_unique<msa::nn::Sgd>(0.1, 0.9); },
+        HybridOptions{}, options);
     auto result = trainer.train_classification(x, y, /*batch_size=*/4, epochs);
     if (trainer.comm().rank() == 0) {
       std::lock_guard lock(m);

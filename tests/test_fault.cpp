@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -31,6 +32,7 @@ using msa::comm::RankFailedError;
 using msa::comm::Runtime;
 using msa::dist::broadcast_parameters;
 using msa::dist::DistributedTrainer;
+using msa::dist::HybridOptions;
 using msa::dist::ResilientOptions;
 using msa::dist::ResilientTrainer;
 using msa::dist::ShardedSampler;
@@ -343,10 +345,14 @@ RunOutcome run_resilient(int P, const FaultPlan& plan, int epochs = 3,
   RunOutcome out;
   std::mutex m;
   rt.run([&](Comm& comm) {
-    Rng rng(7);
-    auto model = msa::nn::make_mlp(features, {10}, classes, rng);
-    msa::nn::Sgd opt(0.1, 0.9);
-    ResilientTrainer trainer(comm, *model, opt, options);
+    ResilientTrainer trainer(
+        comm,
+        [&] {
+          Rng rng(7);
+          return msa::nn::make_mlp(features, {10}, classes, rng);
+        },
+        [] { return std::make_unique<msa::nn::Sgd>(0.1, 0.9); },
+        HybridOptions{}, options);
     auto result = trainer.train_classification(x, y, /*batch_size=*/4, epochs);
     if (trainer.comm().rank() == 0) {
       std::lock_guard lock(m);

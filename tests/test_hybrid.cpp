@@ -5,6 +5,7 @@
 // activation traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
@@ -37,7 +38,6 @@ using msa::comm::ReduceOp;
 using msa::comm::Runtime;
 using msa::dist::AllreduceOptions;
 using msa::dist::HybridOptions;
-using msa::dist::HybridStrategy;
 using msa::dist::Mesh;
 using msa::dist::MeshOptions;
 using msa::dist::PipelineStage;
@@ -157,6 +157,59 @@ TEST(Mesh, TopologyAwareCarvePlacesStagesAcrossModules) {
   });
 }
 
+TEST(Mesh, CallerSplitAfterCarveGetsAFreshId) {
+  // The carve advances the caller's split sequence, so a split the caller
+  // makes afterwards can never be handed a mesh communicator's id.
+  Runtime rt = make_runtime(4);
+  std::mutex m;
+  std::vector<std::uint64_t> mesh_ids;
+  std::vector<std::uint64_t> later_ids;
+  rt.run([&](Comm& comm) {
+    Mesh mesh(comm, MeshOptions{.pipeline_stages = 2, .topology_aware = false});
+    const Comm later = comm.split(0, comm.rank());
+    std::lock_guard lock(m);
+    mesh_ids.push_back(mesh.data().id());
+    mesh_ids.push_back(mesh.pipe().id());
+    later_ids.push_back(later.id());
+  });
+  for (const std::uint64_t id : later_ids) {
+    EXPECT_EQ(std::count(mesh_ids.begin(), mesh_ids.end(), id), 0)
+        << "split after the carve reused mesh communicator id " << id;
+  }
+}
+
+TEST(Mesh, OneStageEngineCostsNothing) {
+  // Plain data parallelism is the one-stage mesh, and every rank knows that
+  // grid already: building it, the engine over it and a DistributedTrainer
+  // sends no byte, charges no sim time and records no Comm span.
+  msa::obs::Tracer::instance().set_enabled(true);
+  msa::obs::Tracer::instance().clear();
+  Runtime rt = make_runtime(4);
+  rt.run([&](Comm& comm) {
+    Mesh mesh(comm, MeshOptions{.pipeline_stages = 1});
+    EXPECT_EQ(mesh.data().size(), 4);
+    EXPECT_EQ(mesh.data().rank(), comm.rank());
+    EXPECT_EQ(mesh.pipe().size(), 1);
+    EXPECT_EQ(mesh.replica(), comm.rank());
+    EXPECT_NE(mesh.data().id(), comm.id());
+    EXPECT_NE(mesh.pipe().id(), mesh.data().id());
+    auto model = small_mlp();
+    msa::nn::Sgd opt(0.1);
+    PipelineStage stage(mesh, *model, opt);
+    EXPECT_NE(stage.reducer(), nullptr);
+    auto other = small_mlp();
+    msa::nn::Sgd other_opt(0.1);
+    msa::dist::DistributedTrainer trainer(comm, *other, other_opt);
+    EXPECT_NE(trainer.reducer(), nullptr);
+  });
+  for (const std::uint64_t b : rt.bytes_sent()) EXPECT_EQ(b, 0u);
+  for (const double t : rt.sim_times()) EXPECT_EQ(t, 0.0);
+  for (const auto& span : msa::obs::Tracer::instance().snapshot()) {
+    EXPECT_NE(span.cat, msa::obs::Category::Comm) << span.name;
+  }
+  msa::obs::Tracer::instance().clear();
+}
+
 // ---- hybrid DP x PP bit-identity --------------------------------------------
 
 struct HybridRun {
@@ -177,13 +230,13 @@ HybridRun run_hybrid_2x2(
   rt.run([&](Comm& comm) {
     auto stages = msa::dist::partition_model(small_mlp(), 2);
     Mesh mesh(comm, MeshOptions{.pipeline_stages = 2, .topology_aware = false});
-    PipelineStage stage(mesh,
-                        std::move(stages[static_cast<std::size_t>(mesh.stage())]),
-                        std::make_unique<msa::nn::Sgd>(0.1, 0.9));
+    msa::nn::Sgd opt(0.1, 0.9);
+    PipelineStage stage(mesh, *stages[static_cast<std::size_t>(mesh.stage())],
+                        opt);
     const auto r = static_cast<std::size_t>(mesh.replica());
     float loss = 0.0f;
     for (int s = 0; s < steps; ++s) {
-      loss = stage.step_classification(micro_x[r], micro_y[r]);
+      loss = stage.step_classification(micro_x[r], micro_y[r]).loss;
     }
     std::lock_guard lock(m);
     if (comm.rank() == 0) out.loss = loss;
@@ -299,9 +352,9 @@ DataAxisRun run_pipeline_2x4(const AllreduceOptions& options) {
   rt.run([&](Comm& comm) {
     auto stages = msa::dist::partition_model(small_mlp(), 2);
     Mesh mesh(comm, MeshOptions{.pipeline_stages = 2, .topology_aware = false});
-    PipelineStage stage(mesh,
-                        std::move(stages[static_cast<std::size_t>(mesh.stage())]),
-                        std::make_unique<msa::nn::Sgd>(0.1, 0.9), options);
+    msa::nn::Sgd opt(0.1, 0.9);
+    PipelineStage stage(mesh, *stages[static_cast<std::size_t>(mesh.stage())],
+                        opt, options);
     // Every stage of one replica chain draws the same microbatches.
     Rng data_rng(70u + static_cast<unsigned>(mesh.replica()));
     std::vector<Tensor> xs;
@@ -474,21 +527,15 @@ HybridOutcome run_hybrid_resilient(int P, const FaultPlan& plan,
     hopts.microbatches = 4;
     hopts.topology_aware = false;
     ResilientTrainer trainer(
-        comm,
-        [&hopts](Comm& c) {
-          return std::make_unique<HybridStrategy>(
-              c, []() { return small_mlp(); },
-              []() { return std::make_unique<msa::nn::Sgd>(0.1, 0.9); },
-              hopts);
-        },
+        comm, []() { return small_mlp(); },
+        []() { return std::make_unique<msa::nn::Sgd>(0.1, 0.9); }, hopts,
         ResilientOptions{});
     auto result = trainer.train_classification(x, y, /*batch_size=*/4, epochs);
     if (trainer.comm().rank() == 0) {
       std::lock_guard lock(m);
       out.mean_loss = result.mean_loss;
       out.report = trainer.report();
-      out.stages_end =
-          dynamic_cast<HybridStrategy&>(trainer.strategy()).current_stages();
+      out.stages_end = trainer.strategy().current_stages();
     }
   });
   return out;
@@ -569,9 +616,10 @@ TEST(HybridObs, PipelineStepAttributesHiddenCommAndBubbles) {
     Rng rng(9);
     auto model = msa::nn::make_mlp(6, {16, 12}, 3, rng);
     auto stages = msa::dist::partition_model(std::move(model), 2);
-    PipelineStage stage(comm,
-                        std::move(stages[static_cast<std::size_t>(comm.rank())]),
-                        std::make_unique<msa::nn::Sgd>(0.05));
+    msa::nn::Sgd opt(0.05);
+    PipelineStage stage(
+        Mesh(comm, MeshOptions{.pipeline_stages = 2, .topology_aware = false}),
+        *stages[static_cast<std::size_t>(comm.rank())], opt);
     for (int s = 0; s < 2; ++s) {
       (void)stage.step_classification(micro_x, micro_y);
     }
@@ -584,6 +632,44 @@ TEST(HybridObs, PipelineStepAttributesHiddenCommAndBubbles) {
   EXPECT_GT(report.aggregate().bubble_s, 0.0)
       << "1F1B warmup/cooldown stalls not attributed";
   msa::obs::Tracer::instance().clear();
+}
+
+TEST(HybridPipeline, BackwardIsChargedBeforeTheGradientLeaves) {
+  // A stage charges its backward before it sends the upstream gradient, so
+  // the previous stage cannot receive it — and so cannot finish its own
+  // backward — before the downstream forward and backward have run.  On a
+  // [2 x 1] mesh of 1 GFLOP/s devices, stage 0 ends no earlier than its own
+  // forward and backward plus stage 1's, back to back.
+  msa::simnet::ComputeProfile gflop;
+  gflop.peak_flops = 1e9;
+  gflop.efficiency = 1.0;
+  Runtime rt(Machine::homogeneous(2, 2, test_config(), gflop));
+  Rng data_rng(5);
+  const std::vector<Tensor> xs = {Tensor::randn({128, 32}, data_rng)};
+  std::vector<std::vector<std::int32_t>> ys(1, std::vector<std::int32_t>(128));
+  for (auto& v : ys[0]) {
+    v = static_cast<std::int32_t>(data_rng.uniform_index(4));
+  }
+  std::array<double, 2> fwd_flops{};
+  std::array<double, 2> end_s{};
+  rt.run([&](Comm& comm) {
+    Rng rng(3);
+    auto stages = msa::dist::partition_model(
+        msa::nn::make_mlp(32, {8, 2048, 2048}, 4, rng), 2);
+    const auto r = static_cast<std::size_t>(comm.rank());
+    msa::nn::Sgd opt(0.01);
+    PipelineStage stage(
+        Mesh(comm, MeshOptions{.pipeline_stages = 2, .topology_aware = false}),
+        *stages[r], opt);
+    (void)stage.step_classification(xs, ys);
+    fwd_flops[r] = stage.stage().forward_flops();
+    end_s[r] = comm.sim_now();
+  });
+  const auto t = [&](double flops) { return gflop.kernel_time(flops, 0.0); };
+  const double compute_chain = t(fwd_flops[0]) + t(fwd_flops[1]) +
+                               t(2.0 * fwd_flops[1]) + t(2.0 * fwd_flops[0]);
+  ASSERT_GT(fwd_flops[1], 1e6);
+  EXPECT_GE(end_s[0], compute_chain);
 }
 
 // ---- inference broadcast ----------------------------------------------------
@@ -603,9 +689,10 @@ TEST(HybridPipeline, InferenceBroadcastDeliversLogitsToEveryStage) {
     Rng rng(9);
     auto model = msa::nn::make_mlp(6, {12, 8}, 4, rng);
     auto stages = msa::dist::partition_model(std::move(model), P);
-    PipelineStage stage(comm,
-                        std::move(stages[static_cast<std::size_t>(comm.rank())]),
-                        std::make_unique<msa::nn::Sgd>(0.1));
+    msa::nn::Sgd opt(0.1);
+    PipelineStage stage(
+        Mesh(comm, MeshOptions{.pipeline_stages = P, .topology_aware = false}),
+        *stages[static_cast<std::size_t>(comm.rank())], opt);
     Tensor y = stage.forward_inference(x, /*broadcast_result=*/true);
     std::lock_guard lock(m);
     got[static_cast<std::size_t>(comm.rank())].assign(y.data(),

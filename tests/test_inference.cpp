@@ -4,6 +4,7 @@
 // the broadcast_result option so non-head stages can observe logits too.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -39,14 +40,25 @@ Tensor reference_forward(const Tensor& x) {
   return model->forward(x, false);
 }
 
-msa::dist::PipelineStage make_stage(Comm& comm, int parts) {
-  Rng rng(7);
-  auto model = msa::nn::make_mlp(6, {12, 8}, 4, rng);
-  auto stages = msa::dist::partition_model(std::move(model), parts);
-  return msa::dist::PipelineStage(
-      comm, std::move(stages[static_cast<std::size_t>(comm.rank())]),
-      std::make_unique<msa::nn::Sgd>(0.1));
-}
+/// Rank comm.rank()'s stage of the seeded model split @p parts ways, with
+/// the layers and optimizer its engine refers to.
+struct StageRig {
+  StageRig(Comm& comm, int parts)
+      : part(std::move(split(parts)[static_cast<std::size_t>(comm.rank())])),
+        stage(msa::dist::Mesh(comm, {.pipeline_stages = parts,
+                                     .topology_aware = false}),
+              *part, opt) {}
+
+  static std::vector<std::unique_ptr<msa::nn::Sequential>> split(int parts) {
+    Rng rng(7);
+    return msa::dist::partition_model(msa::nn::make_mlp(6, {12, 8}, 4, rng),
+                                      parts);
+  }
+
+  std::unique_ptr<msa::nn::Sequential> part;
+  msa::nn::Sgd opt{0.1};
+  msa::dist::PipelineStage stage;
+};
 
 TEST(Inference, MatchesTrainingForwardBitExact) {
   Rng data_rng(71);
@@ -56,7 +68,8 @@ TEST(Inference, MatchesTrainingForwardBitExact) {
   std::vector<float> y_pipe(y_ref.numel());
   Runtime rt = make_runtime(3);
   rt.run([&](Comm& comm) {
-    msa::dist::PipelineStage stage = make_stage(comm, 3);
+    StageRig rig(comm, 3);
+    msa::dist::PipelineStage& stage = rig.stage;
     Tensor out = stage.forward_inference(x);
     if (stage.is_last()) {
       std::copy(out.data(), out.data() + out.numel(), y_pipe.data());
@@ -75,7 +88,8 @@ TEST(Inference, LeavesGradientsAndParametersUntouched) {
   const Tensor x = Tensor::randn({3, 6}, data_rng);
   Runtime rt = make_runtime(2);
   rt.run([&](Comm& comm) {
-    msa::dist::PipelineStage stage = make_stage(comm, 2);
+    StageRig rig(comm, 2);
+    msa::dist::PipelineStage& stage = rig.stage;
     // Poison the gradient buffers and snapshot the parameters: inference
     // must not zero, accumulate, or step either of them.
     for (Tensor* g : stage.stage().grads()) g->fill(1.5f);
@@ -110,7 +124,8 @@ TEST(Inference, BroadcastResultDeliversLogitsToEveryStage) {
   // tensor (no silent garbage to mistake for a result).
   Runtime rt = make_runtime(2);
   rt.run([&](Comm& comm) {
-    msa::dist::PipelineStage stage = make_stage(comm, 2);
+    StageRig rig(comm, 2);
+    msa::dist::PipelineStage& stage = rig.stage;
     Tensor out = stage.forward_inference(x);
     if (stage.is_last()) {
       ASSERT_EQ(out.numel(), y_ref.numel());
@@ -124,7 +139,8 @@ TEST(Inference, BroadcastResultDeliversLogitsToEveryStage) {
   std::vector<std::vector<float>> per_rank(2);
   Runtime rt2 = make_runtime(2);
   rt2.run([&](Comm& comm) {
-    msa::dist::PipelineStage stage = make_stage(comm, 2);
+    StageRig rig(comm, 2);
+    msa::dist::PipelineStage& stage = rig.stage;
     Tensor out = stage.forward_inference(x, /*broadcast_result=*/true);
     std::lock_guard lock(mu);
     per_rank[static_cast<std::size_t>(comm.rank())]
@@ -148,7 +164,8 @@ TEST(Inference, PipelinedSingleRequestPass) {
   std::vector<float> y_pipe(y_ref.numel());
   Runtime rt = make_runtime(2);
   rt.run([&](Comm& comm) {
-    msa::dist::PipelineStage stage = make_stage(comm, 2);
+    StageRig rig(comm, 2);
+    msa::dist::PipelineStage& stage = rig.stage;
     Tensor out = stage.forward_inference(x);
     if (stage.is_last()) {
       std::copy(out.data(), out.data() + out.numel(), y_pipe.data());
