@@ -271,9 +271,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
   }
 
-  // Scaling-only mode for drivers (bench/run_critpath.sh) that re-run the
-  // sweep several times to compare JSON byte-for-byte: the ablation/ESB/
-  // accuracy sections below don't feed the JSON and cost most of the time.
+  // Scaling-only mode for bench_gate, which reruns the sweep to compare the
+  // JSON byte for byte: the ablation/ESB/accuracy sections below don't feed
+  // the JSON and cost most of the time.
   if (std::getenv("MSA_SCALING_ONLY") != nullptr) {
     std::printf("MSA_SCALING_ONLY set: skipping ablation/ESB/accuracy sections\n");
     return 0;

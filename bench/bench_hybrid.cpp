@@ -25,8 +25,8 @@
 // and compute is charged per device — heterogeneity and module boundaries
 // come from the machine model, not from constants baked into the bench.
 //
-// Expected shape (asserted by bench/run_hybrid.sh): at >= 64 devices the
-// hybrid beats BOTH single-axis strategies on images/sec.
+// Expected shape (checked by bench/claims.py in bench_gate): at >= 64
+// devices the hybrid beats BOTH single-axis strategies on images/sec.
 #include <cstdio>
 #include <string>
 #include <vector>

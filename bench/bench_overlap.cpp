@@ -9,7 +9,7 @@
 // serialize on the NIC and only the remainder past the blocking wait shows
 // up as exposed time.
 //
-// Expected shape (asserted by bench/run_overlap.sh):
+// Expected shape (checked by bench/claims.py in bench_gate):
 //   * with overlap ON the exposed fraction is strictly smaller than with
 //     overlap OFF at every scale/bucket point;
 //   * exposed comm with overlap ON stays a small slice of the step.

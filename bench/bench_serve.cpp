@@ -8,7 +8,7 @@
 // fixed per-member overhead (kernel launch / weight streaming) on top of
 // the per-row forward, so batching has something real to amortise.
 //
-// Two claims, asserted by bench/run_serve.sh over BENCH_serve.json:
+// Two claims, checked by bench/claims.py over BENCH_serve.json:
 //
 //  (a) continuous batching (rows<=8, 2 ms delay cap) strictly beats
 //      batch-1 dispatch on goodput at every offered load >= 2x the fleet's
@@ -22,8 +22,9 @@
 //      replica and stalls blocking on its replies — blows past 3x.
 //
 // Everything is simulated-time deterministic: the JSON (digests included)
-// is byte-identical for any MSA_THREADS, which run_serve.sh also checks.
+// is byte-identical for any MSA_THREADS, which bench_gate also checks.
 #include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -202,6 +203,10 @@ void emit_replicas(bench::JsonWriter& w, const serve::ServeStats& s) {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_serve.json";
   const double single_rate = single_request_rate(fleet_machine());
+  // The degraded points' critpath needs every span, whatever the caller's
+  // MSA_TRACE_SPANS: the busiest thread records 16,384 to 32,768 in a run.
+  setenv("MSA_TRACE_SPANS", "65536", 1);
+  obs::Tracer::instance().configure_from_env();
 
   std::printf("=== E-serve: continuous batching + SLO routing on a mixed "
               "replica fleet ===\n");

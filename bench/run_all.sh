@@ -1,21 +1,27 @@
 #!/usr/bin/env bash
 # Sim-clock BENCH gate: regenerate every deterministic BENCH file from the
-# bench binaries in <bench-bin-dir> and compare each one byte for byte with
-# the committed copy in <repo-root>.  Any change to a simulated number —
-# a cost constant, a message count, a collective's schedule — fails it.
+# bench binaries in <bench-bin-dir>, compare each one byte for byte with
+# the committed copy in <repo-root>, and check the shape claims of
+# bench/claims.py on the fresh files.  Any change to a simulated number —
+# a cost constant, a message count, a collective's schedule — fails the
+# compare; a change that breaks a paper's shape also names the claim.
 #
-#   bench_overlap, bench_hybrid, bench_recovery     as is
-#   bench_fig3_resnet_scaling                       MSA_SCALING_ONLY=1 (the
-#                                                   skipped sections do not
-#                                                   feed the JSON)
-#   bench_failslow, bench_serve                     MSA_THREADS=1, plus their
-#                                                   _timeseries.jsonl sidecars
+# The committed files are made at MSA_THREADS=1.  To regenerate one, run
+# its line from the repo root (bench_failslow and bench_serve also write
+# their _timeseries.jsonl sidecars):
 #
-# BENCH_failslow.json is compared after stripping straggler_events,
-# straggler_events_max and dropped_spans: they count real-wall-clock recv
-# backstop expiries on the host (see bench/run_failslow.sh), not simulated
-# behaviour.  A JSON file that differs is reported leaf by leaf by
-# bench/benchdiff.py.
+#   MSA_THREADS=1 build/bench/bench_overlap BENCH_overlap.json
+#   MSA_THREADS=1 build/bench/bench_hybrid BENCH_hybrid.json
+#   MSA_THREADS=1 build/bench/bench_recovery BENCH_recovery.json
+#   MSA_THREADS=1 MSA_SCALING_ONLY=1 build/bench/bench_fig3_resnet_scaling \
+#     BENCH_resnet_scaling.json     (the skipped sections do not feed it)
+#   MSA_THREADS=1 build/bench/bench_failslow BENCH_failslow.json
+#   MSA_THREADS=1 build/bench/bench_serve BENCH_serve.json
+#
+# The gate runs the same commands at MSA_THREADS=8, so every match also
+# proves that the results do not depend on the thread count.  A JSON file
+# that differs is reported leaf by leaf by bench/benchdiff.py, and the
+# claims are checked even then.
 #
 # Then eight programs run side by side (after bench_failslow, whose recv
 # backstop runs on the wall clock) and their stdout is compared with
@@ -42,11 +48,12 @@ OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT
 cd "$OUT"
 
-# run <label> <command...>: run quietly; on failure show the output tail.
+# run <label> <command...>: run one bench quietly at MSA_THREADS=8; on
+# failure show the output tail.
 run() {
   local label=$1 start=$SECONDS
   shift
-  if ! "$@" >"$label.log" 2>&1; then
+  if ! MSA_THREADS=8 "$@" >"$label.log" 2>&1; then
     echo "FAIL: $label exited non-zero" >&2
     tail -20 "$label.log" >&2
     exit 1
@@ -59,36 +66,19 @@ run hybrid "$BIN/bench_hybrid" BENCH_hybrid.json
 run recovery "$BIN/bench_recovery" BENCH_recovery.json
 run fig3 env MSA_SCALING_ONLY=1 "$BIN/bench_fig3_resnet_scaling" \
   BENCH_resnet_scaling.json
-run failslow env MSA_THREADS=1 "$BIN/bench_failslow" BENCH_failslow.json
-run serve env MSA_THREADS=1 "$BIN/bench_serve" BENCH_serve.json
-
-strip_wall_clock() {
-  python3 - "$1" <<'EOF'
-import re, sys
-with open(sys.argv[1]) as f:
-    text = f.read()
-sys.stdout.write(re.sub(
-    r'"(?:straggler_events(?:_max)?|dropped_spans)": \d+,?\n\s*', "", text))
-EOF
-}
+run failslow "$BIN/bench_failslow" BENCH_failslow.json
+run serve "$BIN/bench_serve" BENCH_serve.json
 
 status=0
 for f in BENCH_overlap.json BENCH_hybrid.json BENCH_recovery.json \
          BENCH_resnet_scaling.json BENCH_failslow.json \
          BENCH_failslow_timeseries.jsonl BENCH_serve.json \
          BENCH_serve_timeseries.jsonl; do
-  if [ "$f" = BENCH_failslow.json ]; then
-    strip_wall_clock "$f" >"$f.sim"
-    strip_wall_clock "$ROOT/$f" >"$f.committed.sim"
-    fresh=$f.sim committed=$f.committed.sim
-  else
-    fresh=$f committed=$ROOT/$f
-  fi
-  if cmp -s "$fresh" "$committed"; then
+  if cmp -s "$f" "$ROOT/$f"; then
     echo "match: $f"
   else
     echo "FAIL: $f differs from the committed copy (committed -> fresh):" >&2
-    python3 "$ROOT/bench/benchdiff.py" "$committed" "$fresh" >"$f.diff" || true
+    python3 "$ROOT/bench/benchdiff.py" "$ROOT/$f" "$f" >"$f.diff" || true
     head -40 "$f.diff" | cut -c1-200 >&2
     if [ "$(wc -l <"$f.diff")" -gt 40 ]; then
       echo "  ..." >&2
@@ -97,6 +87,7 @@ for f in BENCH_overlap.json BENCH_hybrid.json BENCH_recovery.json \
     status=1
   fi
 done
+python3 "$ROOT/bench/claims.py" . || status=1
 
 programs=(quickstart remote_sensing covid_xray ards_imputation rs_compression
           pipeline_parallel bench_fig4_gru_ards bench_fig4_covidnet)

@@ -18,7 +18,7 @@
 // the Scalasca-style taxonomy below, and the frontier jumps to the matched
 // sender at its send time.  The resulting segment chain partitions [0, T]
 // exactly — the path length EQUALS end-to-end simulated time by
-// construction, which bench/run_critpath.sh asserts.
+// construction, which bench/claims.py checks in bench_gate.
 //
 // Wait-state taxonomy (for a recv span with positive simulated duration —
 // the only way a rank blocks, since sends are buffered):
