@@ -18,7 +18,6 @@
 namespace msa::tensor {
 
 namespace {
-constexpr std::size_t kBlock = 64;  // scalar-fallback cache block
 constexpr std::size_t kMR = 4;      // micro-kernel rows
 constexpr std::size_t kKC = 256;    // packed-panel depth
 
@@ -34,51 +33,39 @@ void scale_c(float* C, std::size_t count, float beta) {
   });
 }
 
-// Serial cache-blocked scalar kernel, branch-free inner loop.  Handles all
-// four transpose combinations via accessor lambdas; used for problems too
-// small to amortise packing.
+// Serial scalar kernel for problems too small to amortise packing.  Every
+// element of C gets the packed kernel's sequence: per kKC-deep block,
+// acc = 0, acc += (alpha a) b in depth order, then C += acc once.  So an
+// element's bits do not depend on which path runs, nor on how many rows or
+// columns share the call.
 void gemm_scalar(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                  std::size_t k, float alpha, const float* A, std::size_t lda,
                  const float* B, std::size_t ldb, float* C) {
-  auto a_at = [&](std::size_t i, std::size_t p) {
-    return trans_a ? A[p * lda + i] : A[i * lda + p];
-  };
-  auto b_at = [&](std::size_t p, std::size_t j) {
-    return trans_b ? B[j * ldb + p] : B[p * ldb + j];
-  };
-
-  // Fast path: no transposes — blocked i-k-j with contiguous inner loop.
-  if (!trans_a && !trans_b) {
-    for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
-      const std::size_t i1 = std::min(i0 + kBlock, m);
-      for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
-        const std::size_t p1 = std::min(p0 + kBlock, k);
-        for (std::size_t i = i0; i < i1; ++i) {
-          for (std::size_t p = p0; p < p1; ++p) {
-            const float av = alpha * A[i * lda + p];
-            const float* brow = B + p * ldb;
-            float* crow = C + i * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      }
+  par::Scratch scratch;
+  float* arow = scratch.floats(k);  // alpha * row i of op(A)
+  float* acc = scratch.floats(n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      arow[p] = alpha * (trans_a ? A[p * lda + i] : A[i * lda + p]);
     }
-    return;
-  }
-
-  for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
-    const std::size_t i1 = std::min(i0 + kBlock, m);
-    for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
-      const std::size_t j1 = std::min(j0 + kBlock, n);
-      for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
-        const std::size_t p1 = std::min(p0 + kBlock, k);
-        for (std::size_t i = i0; i < i1; ++i) {
-          for (std::size_t j = j0; j < j1; ++j) {
-            float acc = 0.0f;
-            for (std::size_t p = p0; p < p1; ++p) acc += a_at(i, p) * b_at(p, j);
-            C[i * n + j] += alpha * acc;
-          }
+    float* crow = C + i * n;
+    for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
+      const std::size_t p1 = std::min(k, p0 + kKC);
+      if (trans_b) {
+        // Column j of op(B) is row j of B: read it contiguously.
+        for (std::size_t j = 0; j < n; ++j) {
+          const float* bcol = B + j * ldb;
+          float s = 0.0f;
+          for (std::size_t p = p0; p < p1; ++p) s += arow[p] * bcol[p];
+          crow[j] += s;
         }
+      } else {
+        std::fill(acc, acc + n, 0.0f);
+        for (std::size_t p = p0; p < p1; ++p) {
+          const float* brow = B + p * ldb;
+          for (std::size_t j = 0; j < n; ++j) acc[j] += arow[p] * brow[j];
+        }
+        for (std::size_t j = 0; j < n; ++j) crow[j] += acc[j];
       }
     }
   }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "nn/conv.hpp"
+#include "nn/layers_basic.hpp"
 #include "par/aligned.hpp"
 #include "par/pool.hpp"
 #include "tensor/gemm_kernels.hpp"
@@ -104,7 +105,8 @@ TEST(TensorPar, GemmBitIdenticalAcrossThreadCounts) {
 // Every micro-kernel instantiation this CPU runs (4, 8 and 16 lanes on an
 // AVX-512 host) must produce the 4-lane kernel's bits exactly: same
 // per-element sequence, no fused multiply-add.  gemm_raw, which dispatches
-// to the widest one, must too.
+// to the widest one, must too, also on the last three shapes, which it runs
+// on its scalar kernel (m * n * k <= kPackedThreshold).
 TEST(TensorPar, PackedGemmBitIdenticalAcrossIsas) {
   namespace detail = msa::tensor::detail;
   ParGuard guard;
@@ -116,7 +118,8 @@ TEST(TensorPar, PackedGemmBitIdenticalAcrossIsas) {
     std::size_t m, n, k;
   };
   const Shape shapes[] = {
-      {8, 512, 512}, {512, 512, 8}, {37, 65, 257}, {129, 33, 600}};
+      {8, 512, 512}, {512, 512, 8}, {37, 65, 257}, {129, 33, 600},
+      {1, 10, 512},  {3, 7, 300},    {16, 8, 64}};
   const std::pair<float, float> alpha_beta[] = {
       {1.0f, 0.0f}, {-0.7f, 1.0f}, {1.3f, 0.3f}};
   Rng rng(99);
@@ -226,7 +229,7 @@ class StoredGemm {
 // 8 and 16 lanes, a partial panel alone); k over one to three 256-deep
 // blocks, with and without a depth tail narrower than the 4 x 4 transpose.
 // fn(m, n, k, calls, rng) gets the calls to check for the shape: every
-// kernel width and, where the shape takes the packed path there, gemm_raw,
+// kernel width and gemm_raw (on its scalar kernel for the smallest shapes),
 // each with three (alpha, beta) pairs.
 template <typename Fn>
 void for_each_skinny_shape(Fn fn) {
@@ -243,7 +246,6 @@ void for_each_skinny_shape(Fn fn) {
       for (const std::size_t k : {3, 255, 257, 600}) {
         std::vector<GemmCall> calls;
         for (const std::size_t l : lanes) {
-          if (l == 0 && m * n * k <= detail::kPackedThreshold) continue;
           for (const auto& [alpha, beta] : alpha_beta) {
             calls.push_back({l, alpha, beta});
           }
@@ -312,6 +314,29 @@ TEST(TensorPar, PackedGemmSkinnyMatchesPaddedRows) {
       }
     }
   });
+}
+
+// A row's output must not depend on how many rows share the call: alone it
+// runs gemm_raw's scalar kernel, inside a 64-row batch the packed one, and
+// both fan-ins are deeper than one 256-deep block.
+TEST(TensorPar, DenseRowAloneMatchesRowInBatch) {
+  ParGuard guard;
+  msa::par::set_num_threads(4);
+  for (const auto& [in, out] : {std::pair<std::size_t, std::size_t>{300, 64},
+                                std::pair<std::size_t, std::size_t>{512, 10}}) {
+    Rng rng(in);
+    msa::nn::Dense dense(in, out, rng);
+    const Tensor batch = Tensor::randn({64, in}, rng);
+    const Tensor y = dense.forward(batch, false);
+    for (std::size_t r = 0; r < batch.dim(0); ++r) {
+      const Tensor row({1, in}, std::vector<float>(batch.data() + r * in,
+                                                   batch.data() + (r + 1) * in));
+      const Tensor yr = dense.forward(row, false);
+      EXPECT_EQ(0, std::memcmp(yr.data(), y.data() + r * out,
+                               out * sizeof(float)))
+          << "fan-in " << in << " row " << r;
+    }
+  }
 }
 
 TEST(TensorPar, TransposeMatchesNaive) {
