@@ -25,7 +25,7 @@ std::uint16_t float_to_half_bits(float f) {
     }
     return static_cast<std::uint16_t>(half);
   }
-  if (exp >= -24) {  // subnormal
+  if (exp >= -25) {  // subnormal, or zero / 2^-24 by rounding from 2^-25
     mant |= 0x800000u;  // implicit leading 1
     // Subnormal half = m * 2^-24; m = round(M * 2^(exp+1)) for the 24-bit
     // implicit-1 mantissa M, i.e. a right shift by (-exp - 1) bits.

@@ -75,6 +75,18 @@ TEST(Half, HandlesOverflowAndSubnormals) {
   EXPECT_EQ(Half(0x1.0p-26f).to_float(), 0.0f);
 }
 
+TEST(Half, RoundsBelowSmallestSubnormalToNearestEven) {
+  // Between 2^-25 (halfway to the smallest subnormal, 2^-24) and 2^-24,
+  // round-to-nearest-even gives 2^-24; exactly 2^-25 ties to even (zero).
+  for (const float sign : {1.0f, -1.0f}) {
+    const std::uint16_t s = sign < 0.0f ? 0x8000u : 0u;
+    EXPECT_EQ(Half(sign * 0x1.8p-25f).bits, s | 0x0001u) << sign;
+    EXPECT_EQ(Half(sign * 0x1.0p-25f).bits, s) << sign;
+    EXPECT_EQ(Half(sign * std::nextafter(0x1.0p-24f, 0.0f)).bits, s | 0x0001u)
+        << sign;
+  }
+}
+
 TEST(Half, RelativeErrorBounded) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
