@@ -13,6 +13,7 @@
 #include "ml/svm.hpp"
 #include "nn/conv.hpp"
 #include "nn/gru.hpp"
+#include "nn/models.hpp"
 #include "quantum/qubo.hpp"
 #include "tensor/ops.hpp"
 
@@ -83,7 +84,7 @@ void BM_Conv2DForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Conv2DForward);
+BENCHMARK(BM_Conv2DForward)->UseRealTime();
 
 void BM_Conv2DBackward(benchmark::State& state) {
   tensor::Rng rng(3);
@@ -96,7 +97,25 @@ void BM_Conv2DBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(gx.data());
   }
 }
-BENCHMARK(BM_Conv2DBackward);
+BENCHMARK(BM_Conv2DBackward)->UseRealTime();
+
+// One ResNet-lite forward plus backward (make_resnet_rs on 4-band 16 x 16
+// patches, the model perfbench's train_dp and train_local run) at batch
+// 16 (train_dp's micro-batch) and 64 (train_local's batch): every conv
+// shape of that network, on the stride-1 shifted-plane path and the
+// strided and 1 x 1 generic one.
+void BM_ResNetLiteStep(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  tensor::Rng rng(14);
+  auto net = nn::make_resnet_rs(4, 5, rng);
+  tensor::Tensor x = tensor::Tensor::randn({batch, 4, 16, 16}, rng);
+  for (auto _ : state) {
+    auto y = net->forward(x, true);
+    auto gx = net->backward(y);
+    benchmark::DoNotOptimize(gx.data());
+  }
+}
+BENCHMARK(BM_ResNetLiteStep)->Arg(16)->Arg(64)->UseRealTime();
 
 void BM_GruForwardBackward(benchmark::State& state) {
   tensor::Rng rng(4);
@@ -183,7 +202,7 @@ void BM_Im2Col(benchmark::State& state) {
   tensor::Tensor x = tensor::Tensor::randn({8, 32, 32}, rng);
   std::vector<float> cols(8 * 9 * 32 * 32);
   for (auto _ : state) {
-    tensor::im2col(x.data(), 8, 32, 32, 3, 3, 1, 1, cols.data());
+    tensor::im2col(x.data(), 8, 32, 32, 3, 3, 1, 1, cols.data(), 32 * 32);
     benchmark::DoNotOptimize(cols.data());
   }
 }

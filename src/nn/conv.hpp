@@ -5,7 +5,13 @@
 
 namespace msa::nn {
 
-/// 2-D convolution via im2col + GEMM.  Input (B, C, H, W).
+/// 2-D convolution via im2col + GEMM.  Input (B, C, H, W).  The batch
+/// splits into at most 8 chunks, a fixed function of B; each chunk runs in
+/// groups of consecutive samples whose columns share one matrix, with one
+/// GEMM per group for the forward and one for the input gradient.  The
+/// weight gradient takes one GEMM per sample into its chunk's partial, and
+/// the partials are summed in chunk order, so every output is bit-identical
+/// for any MSA_THREADS and any grouping.
 class Conv2D : public Layer {
  public:
   Conv2D(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,

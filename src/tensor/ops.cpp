@@ -415,17 +415,73 @@ std::size_t conv_out_size(std::size_t in, std::size_t kernel,
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
+namespace {
+
+// Column row (c, kh, kw) of a shifted-plane im2col is plane c moved by
+// (dh, dw) = (kh - pad, kw - pad).  Its rows [0, top) and
+// [height - bottom, height) fall off the plane wholly; in the rows between,
+// the first `left` or the last `right` entries do.
+struct PlaneShift {
+  std::ptrdiff_t dh, dw;
+  std::size_t top, bottom, left, right;
+};
+
+PlaneShift plane_shift(std::size_t kh, std::size_t kw, std::size_t pad,
+                       std::size_t height, std::size_t width) {
+  const auto off = [](std::ptrdiff_t v, std::size_t limit) {
+    return std::min(limit,
+                    static_cast<std::size_t>(std::max<std::ptrdiff_t>(v, 0)));
+  };
+  const std::ptrdiff_t p = static_cast<std::ptrdiff_t>(pad);
+  const std::ptrdiff_t dh = static_cast<std::ptrdiff_t>(kh) - p;
+  const std::ptrdiff_t dw = static_cast<std::ptrdiff_t>(kw) - p;
+  return {dh, dw, off(-dh, height), off(dh, height), off(-dw, width),
+          off(dw, width)};
+}
+
+// Stride 1 with kernel == 2 pad + 1 keeps the plane's size, so column row
+// (c, kh, kw) is input plane c shifted by (kh - pad, kw - pad).
+bool shifts_planes(std::size_t kernel_h, std::size_t kernel_w,
+                   std::size_t stride, std::size_t pad) {
+  return stride == 1 && kernel_h == 2 * pad + 1 && kernel_w == 2 * pad + 1;
+}
+
+}  // namespace
+
 void im2col(const float* input, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel_h, std::size_t kernel_w,
-            std::size_t stride, std::size_t pad, float* columns) {
+            std::size_t stride, std::size_t pad, float* columns,
+            std::size_t ld) {
   const std::size_t out_h = conv_out_size(height, kernel_h, stride, pad);
   const std::size_t out_w = conv_out_size(width, kernel_w, stride, pad);
-  const std::size_t out_hw = out_h * out_w;
+  const bool shifted = shifts_planes(kernel_h, kernel_w, stride, pad);
+  const std::size_t hw = height * width;
   std::size_t row = 0;
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t kh = 0; kh < kernel_h; ++kh) {
       for (std::size_t kw = 0; kw < kernel_w; ++kw, ++row) {
-        float* col_row = columns + row * out_hw;
+        float* col_row = columns + row * ld;
+        if (shifted) {
+          // One contiguous copy of the plane at offset d, then zeros over
+          // every entry the shift took off the plane (which includes every
+          // entry the copy's range left out).
+          const float* plane = input + c * hw;
+          const PlaneShift sh = plane_shift(kh, kw, pad, height, width);
+          const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hw);
+          const std::ptrdiff_t d =
+              sh.dh * static_cast<std::ptrdiff_t>(width) + sh.dw;
+          const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, -d);
+          const std::ptrdiff_t hi = std::min(n, n - d);
+          if (lo < hi) std::copy(plane + lo + d, plane + hi + d, col_row + lo);
+          std::fill(col_row, col_row + sh.top * width, 0.0f);
+          std::fill(col_row + (height - sh.bottom) * width, col_row + hw, 0.0f);
+          for (std::size_t oh = sh.top; oh + sh.bottom < height; ++oh) {
+            float* r = col_row + oh * width;
+            std::fill(r, r + sh.left, 0.0f);
+            std::fill(r + width - sh.right, r + width, 0.0f);
+          }
+          continue;
+        }
         for (std::size_t oh = 0; oh < out_h; ++oh) {
           const std::ptrdiff_t ih =
               static_cast<std::ptrdiff_t>(oh * stride + kh) -
@@ -452,15 +508,32 @@ void im2col(const float* input, std::size_t channels, std::size_t height,
 
 void col2im(const float* columns, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel_h, std::size_t kernel_w,
-            std::size_t stride, std::size_t pad, float* input_grad) {
+            std::size_t stride, std::size_t pad, float* input_grad,
+            std::size_t ld) {
   const std::size_t out_h = conv_out_size(height, kernel_h, stride, pad);
   const std::size_t out_w = conv_out_size(width, kernel_w, stride, pad);
-  const std::size_t out_hw = out_h * out_w;
+  const bool shifted = shifts_planes(kernel_h, kernel_w, stride, pad);
   std::size_t row = 0;
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t kh = 0; kh < kernel_h; ++kh) {
       for (std::size_t kw = 0; kw < kernel_w; ++kw, ++row) {
-        const float* col_row = columns + row * out_hw;
+        const float* col_row = columns + row * ld;
+        if (shifted) {
+          // Each column row adds at most once to an input element, in row
+          // order, as in the loop below: the same sums, in the same order.
+          float* plane = input_grad + c * height * width;
+          const PlaneShift sh = plane_shift(kh, kw, pad, height, width);
+          const std::size_t len = width - sh.left - sh.right;
+          for (std::size_t oh = sh.top; oh + sh.bottom < height; ++oh) {
+            const float* src = col_row + oh * width + sh.left;
+            const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh) + sh.dh;
+            const std::ptrdiff_t iw =
+                static_cast<std::ptrdiff_t>(sh.left) + sh.dw;
+            float* dst = plane + ih * static_cast<std::ptrdiff_t>(width) + iw;
+            for (std::size_t j = 0; j < len; ++j) dst[j] += src[j];
+          }
+          continue;
+        }
         for (std::size_t oh = 0; oh < out_h; ++oh) {
           const std::ptrdiff_t ih =
               static_cast<std::ptrdiff_t>(oh * stride + kh) -

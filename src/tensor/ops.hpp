@@ -12,8 +12,8 @@
 // the widest the CPU runs (4, 8 or 16 floats: SSE2, AVX2, AVX-512F), picked
 // once per process; every width computes the same bits.  Rows of C are
 // disjoint across chunks and the k-blocking order is fixed, so results are
-// bit-identical for every MSA_THREADS setting.  Small problems fall back to
-// a serial cache-blocked scalar kernel (also branch-free).
+// bit-identical for every MSA_THREADS setting.  Small problems run a serial
+// scalar kernel that computes the packed kernel's per-element sequence.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +31,11 @@ void gemm(bool trans_a, bool trans_b, float alpha, const Tensor& a,
 /// alpha * op(A) * op(B) + beta * C, where lda/ldb are the leading
 /// dimensions of A and B *as stored* (before the logical transpose).
 /// Lets layers run GEMM on scratch-arena buffers without wrapping them in
-/// Tensors.
+/// Tensors.  Every path (scalar, packed, B in place, any SIMD width) gives
+/// each element of C the same sequence: C *= beta, then per 256-deep block
+/// acc = 0, acc += (alpha a) b in depth order, C += acc.  So an element's
+/// bits depend only on its row of op(A), its column of op(B), alpha, beta
+/// and k: not on m, n, the leading dimensions or the thread count.
 void gemm_raw(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
               std::size_t k, float alpha, const float* A, std::size_t lda,
               const float* B, std::size_t ldb, float beta, float* C);
@@ -45,16 +49,24 @@ void gemm_raw(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// Flop count of a gemm with these dimensions (for simulated-time charging).
 [[nodiscard]] double gemm_flops(std::size_t m, std::size_t n, std::size_t k);
 
-/// im2col for NCHW input: input (C, H, W) -> columns
-/// (C*kh*kw, out_h*out_w) with given stride and symmetric zero padding.
+/// im2col for NCHW input: input (C, H, W) -> columns (C*kh*kw rows of
+/// out_h*out_w) with given stride and symmetric zero padding.  Row r starts
+/// at columns + r * ld (ld >= out_h*out_w), so a caller can lay several
+/// samples side by side in one matrix of width ld.  With stride 1 and
+/// kernel == 2 * pad + 1 in both directions, each row is one contiguous
+/// shifted copy of an input plane with its borders zeroed.
 void im2col(const float* input, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel_h, std::size_t kernel_w,
-            std::size_t stride, std::size_t pad, float* columns);
+            std::size_t stride, std::size_t pad, float* columns,
+            std::size_t ld);
 
-/// Adjoint of im2col (accumulates into input gradient).
+/// Adjoint of im2col (accumulates into input gradient), reading row r of
+/// the columns at columns + r * ld.  Each input element gets its column
+/// entries added in row order, on either path.
 void col2im(const float* columns, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel_h, std::size_t kernel_w,
-            std::size_t stride, std::size_t pad, float* input_grad);
+            std::size_t stride, std::size_t pad, float* input_grad,
+            std::size_t ld);
 
 /// Output spatial size for a conv/pool dimension.  Throws
 /// std::invalid_argument when stride or kernel is 0, or when the kernel is

@@ -5,7 +5,9 @@
 // KKT conditions of the SMO solution, schedule feasibility invariants, etc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -43,23 +45,36 @@ struct ConvGeom {
 class Im2ColAdjointTest : public ::testing::TestWithParam<ConvGeom> {};
 
 TEST_P(Im2ColAdjointTest, InnerProductIdentity) {
-  // col2im is the adjoint of im2col: <im2col(x), y> == <x, col2im(y)>.
+  // col2im is the adjoint of im2col: <im2col(x), y> == <x, col2im(y)>, with
+  // the column rows ld = out_h*out_w + 5 apart.  The 5 floats past each row
+  // are NaN: im2col must leave them, and col2im must not read them.
   const auto g = GetParam();
   Rng rng(5);
   const std::size_t oh = msa::tensor::conv_out_size(g.h, g.k, g.stride, g.pad);
   const std::size_t ow = msa::tensor::conv_out_size(g.w, g.k, g.stride, g.pad);
   const std::size_t rows = g.c * g.k * g.k;
+  const std::size_t ld = oh * ow + 5;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
   Tensor x = Tensor::randn({g.c, g.h, g.w}, rng);
-  Tensor y = Tensor::randn({rows, oh * ow}, rng);
-  std::vector<float> cols(rows * oh * ow);
+  Tensor y = Tensor::randn({rows, ld}, rng);
+  std::vector<float> cols(rows * ld, nan);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::fill(y.data() + r * ld + oh * ow, y.data() + (r + 1) * ld, nan);
+  }
   msa::tensor::im2col(x.data(), g.c, g.h, g.w, g.k, g.k, g.stride, g.pad,
-                      cols.data());
+                      cols.data(), ld);
   Tensor xt(x.shape());
   msa::tensor::col2im(y.data(), g.c, g.h, g.w, g.k, g.k, g.stride, g.pad,
-                      xt.data());
+                      xt.data(), ld);
   double lhs = 0.0, rhs = 0.0;
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    lhs += static_cast<double>(cols[i]) * y[i];
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t i = 0; i < ld; ++i) {
+      if (i < oh * ow) {
+        lhs += static_cast<double>(cols[r * ld + i]) * y[r * ld + i];
+      } else {
+        EXPECT_TRUE(std::isnan(cols[r * ld + i])) << "row " << r << " " << i;
+      }
+    }
   }
   for (std::size_t i = 0; i < x.numel(); ++i) {
     rhs += static_cast<double>(x[i]) * xt[i];
@@ -69,9 +84,12 @@ TEST_P(Im2ColAdjointTest, InnerProductIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, Im2ColAdjointTest,
+    // Stride 1 with k = 2p + 1 shifts planes (the last one by more than
+    // the plane); the others take the element loop.
     ::testing::Values(ConvGeom{1, 5, 5, 3, 1, 1}, ConvGeom{3, 8, 8, 3, 1, 1},
                       ConvGeom{2, 7, 9, 3, 2, 0}, ConvGeom{4, 6, 6, 1, 1, 0},
-                      ConvGeom{2, 10, 10, 5, 2, 2}),
+                      ConvGeom{2, 10, 10, 5, 2, 2}, ConvGeom{2, 6, 9, 5, 1, 2},
+                      ConvGeom{2, 5, 4, 3, 1, 2}, ConvGeom{1, 1, 3, 5, 1, 2}),
     [](const auto& info) {
       const auto& g = info.param;
       std::string name;

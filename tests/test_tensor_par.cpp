@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -329,8 +330,8 @@ TEST(TensorPar, DenseRowAloneMatchesRowInBatch) {
     const Tensor batch = Tensor::randn({64, in}, rng);
     const Tensor y = dense.forward(batch, false);
     for (std::size_t r = 0; r < batch.dim(0); ++r) {
-      const Tensor row({1, in}, std::vector<float>(batch.data() + r * in,
-                                                   batch.data() + (r + 1) * in));
+      const float* xr = batch.data() + r * in;
+      const Tensor row({1, in}, std::vector<float>(xr, xr + in));
       const Tensor yr = dense.forward(row, false);
       EXPECT_EQ(0, std::memcmp(yr.data(), y.data() + r * out,
                                out * sizeof(float)))
@@ -383,6 +384,143 @@ TEST(TensorPar, Conv2DBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(r1.size(), r8.size());
   ASSERT_EQ(0,
             std::memcmp(r1.data(), r8.data(), r1.size() * sizeof(float)));
+}
+
+// Per-sample reference for Conv2D: one element-by-element im2col and three
+// gemm_raw calls per sample (forward, weight gradient, input gradient), the
+// weight/bias gradients summed into ceil(B / 8)-sample chunk partials that
+// are then reduced in chunk order.  The layer batches samples into shared
+// column matrices and shifts whole planes; it must give these bits.
+struct ConvGeom {
+  std::size_t in_ch, out_ch, k, stride, pad, h, w;
+  bool bias;
+};
+
+struct ConvResult {
+  std::vector<float> y, gx, gw, gb;
+};
+
+// fn(column index, input index) for every column entry that reads the
+// input, in im2col's row-major (c, kh, kw, oh, ow) order.
+template <typename Fn>
+void for_each_tap(const ConvGeom& g, std::size_t oh, std::size_t ow, Fn fn) {
+  std::size_t ci = 0;
+  for (std::size_t c = 0; c < g.in_ch; ++c) {
+    for (std::size_t kh = 0; kh < g.k; ++kh) {
+      for (std::size_t kw = 0; kw < g.k; ++kw) {
+        for (std::size_t y = 0; y < oh; ++y) {
+          for (std::size_t x = 0; x < ow; ++x, ++ci) {
+            const std::size_t ih = y * g.stride + kh, iw = x * g.stride + kw;
+            if (ih < g.pad || ih - g.pad >= g.h || iw < g.pad ||
+                iw - g.pad >= g.w) {
+              continue;
+            }
+            fn(ci, (c * g.h + ih - g.pad) * g.w + iw - g.pad);
+          }
+        }
+      }
+    }
+  }
+}
+
+ConvResult reference_conv(const ConvGeom& g, const Tensor& w, const Tensor& b,
+                          const Tensor& x, const Tensor& gy) {
+  using msa::tensor::gemm_raw;
+  const std::size_t B = x.dim(0), chw = g.in_ch * g.h * g.w;
+  const std::size_t oh = gy.dim(2), ow = gy.dim(3), ohw = oh * ow;
+  const std::size_t rows = g.in_ch * g.k * g.k, wsize = w.numel();
+  const std::size_t grain = (B + 7) / 8, nchunks = (B + grain - 1) / grain;
+  ConvResult r{std::vector<float>(B * g.out_ch * ohw),
+               std::vector<float>(x.numel(), 0.0f),
+               std::vector<float>(wsize, 0.0f),
+               std::vector<float>(g.out_ch, 0.0f)};
+  std::vector<float> gw_part(nchunks * wsize, 0.0f);
+  std::vector<float> gb_part(nchunks * g.out_ch, 0.0f);
+  std::vector<float> cols(rows * ohw), gcols(rows * ohw);
+  for (std::size_t s = 0; s < B; ++s) {
+    const std::size_t chunk = s / grain;
+    std::fill(cols.begin(), cols.end(), 0.0f);
+    for_each_tap(g, oh, ow, [&](std::size_t ci, std::size_t ii) {
+      cols[ci] = x[s * chw + ii];
+    });
+    float* y_s = r.y.data() + s * g.out_ch * ohw;
+    gemm_raw(false, false, g.out_ch, ohw, rows, 1.0f, w.data(), rows,
+             cols.data(), ohw, 0.0f, y_s);
+    for (std::size_t i = 0; i < g.out_ch * ohw; ++i) {
+      y_s[i] += g.bias ? b[i / ohw] : 0.0f;
+    }
+    const float* g_s = gy.data() + s * g.out_ch * ohw;
+    gemm_raw(false, true, g.out_ch, rows, ohw, 1.0f, g_s, ohw, cols.data(),
+             ohw, 1.0f, gw_part.data() + chunk * wsize);
+    for (std::size_t i = 0; i < g.out_ch * ohw; ++i) {
+      gb_part[chunk * g.out_ch + i / ohw] += g_s[i];
+    }
+    gemm_raw(true, false, rows, ohw, g.out_ch, 1.0f, w.data(), rows, g_s,
+             ohw, 0.0f, gcols.data());
+    for_each_tap(g, oh, ow, [&](std::size_t ci, std::size_t ii) {
+      r.gx[s * chw + ii] += gcols[ci];
+    });
+  }
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    for (std::size_t i = 0; i < wsize; ++i) r.gw[i] += gw_part[c * wsize + i];
+    for (std::size_t i = 0; i < g.out_ch; ++i) {
+      r.gb[i] += gb_part[c * g.out_ch + i];
+    }
+  }
+  return r;
+}
+
+TEST(TensorPar, Conv2DMatchesPerSampleReference) {
+  ParGuard guard;
+  const ConvGeom geoms[] = {
+      {3, 8, 3, 1, 1, 9, 9, true},      // 3x3 s1 p1: shifted planes
+      {3, 8, 3, 2, 1, 9, 9, false},     // 3x3 s2 p1
+      {4, 6, 1, 2, 0, 8, 8, true},      // 1x1 s2
+      {4, 6, 1, 1, 0, 5, 5, false},     // 1x1 s1: a shift by (0, 0)
+      {2, 5, 5, 2, 2, 9, 9, true},      // 5x5 s2 p2
+      {3, 4, 3, 1, 2, 6, 6, false},     // 3x3 p2: output wider than input
+      {3, 8, 3, 1, 1, 7, 12, true},     // H != W, shifted
+      {2, 4, 3, 2, 1, 7, 10, false},    // H != W, strided
+      {32, 16, 3, 1, 1, 4, 4, false},   // 4x4, k = 288 > 256
+      {64, 8, 3, 1, 1, 2, 2, true},     // 2x2, k = 576
+      {16, 16, 3, 1, 1, 16, 16, false}, // 3 samples per group at B = 64
+      {8, 4, 5, 1, 2, 32, 32, true},    // one sample per group
+  };
+  for (const std::size_t threads : {1, 4}) {
+    msa::par::set_num_threads(threads);
+    for (const ConvGeom& g : geoms) {
+      for (const std::size_t B : {1, 3, 16, 17, 64}) {
+        Rng rng(g.in_ch * 131 + g.k * 17 + B);
+        msa::nn::Conv2D conv(g.in_ch, g.out_ch, g.k, g.stride, g.pad, rng,
+                             g.bias);
+        // A nonzero bias, so a bias added twice or not at all shows.
+        if (g.bias) *conv.params()[1] = Tensor::randn({g.out_ch}, rng);
+        const Tensor x = Tensor::randn({B, g.in_ch, g.h, g.w}, rng);
+        const Tensor y = conv.forward(x, true);
+        const Tensor gy = Tensor::randn(y.shape(), rng);
+        const Tensor gx = conv.backward(gy);
+        const ConvResult want = reference_conv(
+            g, *conv.params()[0], g.bias ? *conv.params()[1] : Tensor(), x, gy);
+        const auto same = [](const std::vector<float>& a, const Tensor& t) {
+          return a.size() == t.numel() &&
+                 std::memcmp(a.data(), t.data(), a.size() * sizeof(float)) == 0;
+        };
+        const std::vector<Tensor*> grads = conv.grads();
+        const std::string where =
+            "in_ch " + std::to_string(g.in_ch) + " k " + std::to_string(g.k) +
+            " stride " + std::to_string(g.stride) + " pad " +
+            std::to_string(g.pad) + " " + std::to_string(g.h) + "x" +
+            std::to_string(g.w) + " B " + std::to_string(B) + " threads " +
+            std::to_string(threads);
+        EXPECT_TRUE(same(want.y, y)) << "y, " << where;
+        EXPECT_TRUE(same(want.gx, gx)) << "gx, " << where;
+        EXPECT_TRUE(same(want.gw, *grads[0])) << "gw, " << where;
+        if (g.bias) {
+          EXPECT_TRUE(same(want.gb, *grads[1])) << "gb, " << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(TensorPar, TensorAndScratchBuffersStartOnCacheLines) {
