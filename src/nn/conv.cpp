@@ -33,9 +33,11 @@ std::size_t grad_grain(std::size_t batch) {
 constexpr std::size_t kGroupColumns = std::size_t{1} << 17;
 
 // Samples per group for a chunk of at most `grain` samples, each
-// `sample_columns` floats of im2col columns; at least 1.
+// `sample_columns` floats of im2col columns; at least 1 (also for an empty
+// batch, whose grain is 0).
 std::size_t group_size(std::size_t grain, std::size_t sample_columns) {
-  return std::clamp<std::size_t>(kGroupColumns / sample_columns, 1, grain);
+  return std::max<std::size_t>(1,
+                               std::min(grain, kGroupColumns / sample_columns));
 }
 
 // Returns kernel, or throws when kernel or stride is 0; called first in the

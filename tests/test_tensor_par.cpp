@@ -386,11 +386,7 @@ TEST(TensorPar, Conv2DBitIdenticalAcrossThreadCounts) {
             std::memcmp(r1.data(), r8.data(), r1.size() * sizeof(float)));
 }
 
-// Per-sample reference for Conv2D: one element-by-element im2col and three
-// gemm_raw calls per sample (forward, weight gradient, input gradient), the
-// weight/bias gradients summed into ceil(B / 8)-sample chunk partials that
-// are then reduced in chunk order.  The layer batches samples into shared
-// column matrices and shifts whole planes; it must give these bits.
+// One Conv2D layer shape and its input plane.
 struct ConvGeom {
   std::size_t in_ch, out_ch, k, stride, pad, h, w;
   bool bias;
@@ -423,6 +419,11 @@ void for_each_tap(const ConvGeom& g, std::size_t oh, std::size_t ow, Fn fn) {
   }
 }
 
+// Per-sample reference for Conv2D: one element-by-element im2col and three
+// gemm_raw calls per sample (forward, weight gradient, input gradient), the
+// weight/bias gradients summed into ceil(B / 8)-sample chunk partials that
+// are then reduced in chunk order.  The layer batches samples into shared
+// column matrices and shifts whole planes; it must give these bits.
 ConvResult reference_conv(const ConvGeom& g, const Tensor& w, const Tensor& b,
                           const Tensor& x, const Tensor& gy) {
   using msa::tensor::gemm_raw;
