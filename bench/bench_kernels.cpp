@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the computational kernels under
-// everything else: GEMM, im2col convolution, GRU steps, the message-passing
-// collectives (real wall time), SMO iterations and annealer sweeps.
+// everything else: GEMM, im2col convolution, the ReLU and BatchNorm2D
+// passes, GRU steps, the message-passing collectives (real wall time), SMO
+// iterations and annealer sweeps.
 //
 // These are host-wall-time numbers (not the simulated clock) — they justify
 // the per-step costs the examples/benches pay and catch kernel regressions.
@@ -14,6 +15,7 @@
 #include "nn/conv.hpp"
 #include "nn/gru.hpp"
 #include "nn/models.hpp"
+#include "nn/norm.hpp"
 #include "quantum/qubo.hpp"
 #include "tensor/ops.hpp"
 
@@ -98,6 +100,37 @@ void BM_Conv2DBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2DBackward)->UseRealTime();
+
+// ReLU and BatchNorm2D forward plus backward at ResNet-lite's stage-1
+// activation at train_local's batch, [64, 16, 16, 16] (1 MB per tensor):
+// memory-bound passes on the pool.
+void BM_ReLU(benchmark::State& state) {
+  tensor::Rng rng(15);
+  nn::ReLU relu;
+  const tensor::Tensor x = tensor::Tensor::randn({64, 16, 16, 16}, rng);
+  const tensor::Tensor g = tensor::Tensor::randn(x.shape(), rng);
+  for (auto _ : state) {
+    auto y = relu.forward(x, true);
+    auto gx = relu.backward(g);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(gx.data());
+  }
+}
+BENCHMARK(BM_ReLU)->UseRealTime();
+
+void BM_BatchNorm2D(benchmark::State& state) {
+  tensor::Rng rng(16);
+  nn::BatchNorm2D bn(16);
+  const tensor::Tensor x = tensor::Tensor::randn({64, 16, 16, 16}, rng);
+  const tensor::Tensor g = tensor::Tensor::randn(x.shape(), rng);
+  for (auto _ : state) {
+    auto y = bn.forward(x, true);
+    auto gx = bn.backward(g);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(gx.data());
+  }
+}
+BENCHMARK(BM_BatchNorm2D)->UseRealTime();
 
 // One ResNet-lite forward plus backward (make_resnet_rs on 4-band 16 x 16
 // patches, the model perfbench's train_dp and train_local run) at batch

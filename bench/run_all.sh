@@ -23,13 +23,21 @@
 # that differs is reported leaf by leaf by bench/benchdiff.py, and the
 # claims are checked even then.
 #
-# Then eight programs run side by side (after bench_failslow, whose recv
+# Then sixteen programs run side by side (after bench_failslow, whose recv
 # backstop runs on the wall clock) and their stdout is compared with
 # bench/golden/<program>.txt: the examples quickstart, remote_sensing,
 # covid_xray, ards_imputation, rs_compression and pipeline_parallel (from the
-# examples directory next to <bench-bin-dir>), and bench_fig4_gru_ards and
-# bench_fig4_covidnet.  pipeline_parallel's rank lines print in thread order,
-# so its output is compared sorted (LC_ALL=C).
+# examples directory next to <bench-bin-dir>), bench_fig4_gru_ards and
+# bench_fig4_covidnet, and eight benches gated on their stdout alone:
+# bench_fig1_gce_collectives (E2), bench_fig2_placement (E3),
+# bench_fig3_qasvm (E6), bench_module_roofline (E10), bench_nam_staging
+# (E11), bench_table1_dam (E7/E1), bench_batch_system (E13) and
+# bench_cloud_interop (E14).  pipeline_parallel's rank lines print in thread
+# order, so its output is compared sorted (LC_ALL=C).  A golden file is the
+# program's stdout at MSA_THREADS=1 (the gate runs them at the default pool
+# size), e.g. from the repo root:
+#
+#   MSA_THREADS=1 build/bench/bench_table1_dam >bench/golden/bench_table1_dam.txt
 #
 # Writes only to a temporary directory.  Registered with ctest as bench_gate
 # (label "bench"): `ctest -L bench` from a build tree.
@@ -90,7 +98,10 @@ done
 python3 "$ROOT/bench/claims.py" . || status=1
 
 programs=(quickstart remote_sensing covid_xray ards_imputation rs_compression
-          pipeline_parallel bench_fig4_gru_ards bench_fig4_covidnet)
+          pipeline_parallel bench_fig4_gru_ards bench_fig4_covidnet
+          bench_fig1_gce_collectives bench_fig2_placement bench_fig3_qasvm
+          bench_module_roofline bench_nam_staging bench_table1_dam
+          bench_batch_system bench_cloud_interop)
 start=$SECONDS
 pids=()
 for p in "${programs[@]}"; do

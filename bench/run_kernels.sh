@@ -19,7 +19,7 @@ cmake --build "$BUILD" -j --target bench_kernels --target bench_dist_step >/dev/
 
 RAW="$BUILD/bench_kernels_raw.json"
 "$BUILD/bench/bench_kernels" \
-  --benchmark_filter='BM_Gemm|BM_GemmSkinny|BM_Conv2D|BM_ResNetLiteStep|BM_Transpose|BM_Im2Col' \
+  --benchmark_filter='BM_Gemm|BM_GemmSkinny|BM_Conv2D|BM_ReLU|BM_BatchNorm2D|BM_ResNetLiteStep|BM_Transpose|BM_Im2Col' \
   --benchmark_format=json >"$RAW"
 
 RAW_DIST="$BUILD/bench_dist_step_raw.json"

@@ -7,8 +7,10 @@
 # drains, abandoned requests after a kill) across those same rank threads.
 # TensorPar covers the pool and the GEMM's once-per-process kernel pick,
 # which every rank thread and pool worker reads, and Conv2D's sample groups
-# on pool threads; the im2col/col2im and fp16 rounding properties ride
-# along.
+# on pool threads; LayerOracle and MaxPool2D cover BatchNorm's channel
+# groups, ReLU's and Tensor's elementwise chunks and MaxPool's plane
+# scatter on pool threads; the im2col/col2im and fp16 rounding properties
+# ride along.
 #
 # Usage: bench/run_tsan.sh [gtest_filter]
 # Env:   BUILD_DIR (default build-tsan), MSA_THREADS (default: all cores)
@@ -16,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=${BUILD_DIR:-build-tsan}
-FILTER=${1:-Comm*:CommAsync*:Dist*:Overlap*:Fault*:FailSlow*:Health*:Resilient*:Runtime*:Mailbox*:Obs*:Critpath*:Flight*:Trace*:Timeseries*:Hybrid*:Mesh*:Serve*:Inference*:TensorPar*:*Im2Col*:Half*}
+FILTER=${1:-Comm*:CommAsync*:Dist*:Overlap*:Fault*:FailSlow*:Health*:Resilient*:Runtime*:Mailbox*:Obs*:Critpath*:Flight*:Trace*:Timeseries*:Hybrid*:Mesh*:Serve*:Inference*:TensorPar*:LayerOracle*:MaxPool2D*:*Im2Col*:Half*}
 
 # MSA_OBS=ON (the default, restated here on purpose) keeps the tracer armed
 # under TSan: every rank thread writes spans while snapshot/clear run on the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,7 +79,7 @@ Tensor Conv2D::forward(const Tensor& x, bool /*training*/) {
   const std::size_t ow = tensor::conv_out_size(W, kernel_, stride_, pad_);
   const std::size_t rows = in_ch_ * kernel_ * kernel_;
   const std::size_t ohw = oh * ow;
-  Tensor out({B, out_ch_, oh, ow});
+  Tensor out = Tensor::uninitialized({B, out_ch_, oh, ow});  // all written
   obs::ScopedSpan span(
       obs::Category::Compute, "conv2d_fwd", /*bytes=*/0,
       static_cast<std::uint64_t>(static_cast<double>(B) *
@@ -316,29 +315,30 @@ Tensor MaxPool2D::forward(const Tensor& x, bool /*training*/) {
   Tensor out({B, C, oh, ow});
   argmax_.assign(out.numel(), 0);
   // Parallel over (sample, channel) planes; each plane's outputs are
-  // disjoint.
+  // disjoint.  Without padding every window lies inside its plane, so each
+  // starts from its own first element: the argmax never leaves the plane,
+  // even when no element beats that start (a window of -inf).  The first
+  // NaN wins its window, so NaN input gives a NaN output.
   par::parallel_for(0, B * C, 1, [&](std::size_t pb, std::size_t pe) {
     for (std::size_t p = pb; p < pe; ++p) {
       const float* plane = x.data() + p * H * W;
       std::size_t oi = p * oh * ow;
       for (std::size_t i = 0; i < oh; ++i) {
         for (std::size_t j = 0; j < ow; ++j, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          std::size_t best_at = i * stride_ * W + j * stride_;
+          float best = plane[best_at];
           for (std::size_t ki = 0; ki < kernel_; ++ki) {
             for (std::size_t kj = 0; kj < kernel_; ++kj) {
-              const std::size_t ii = i * stride_ + ki;
-              const std::size_t jj = j * stride_ + kj;
-              if (ii >= H || jj >= W) continue;
-              const float v = plane[ii * W + jj];
-              if (v > best) {
+              const std::size_t at = (i * stride_ + ki) * W + j * stride_ + kj;
+              const float v = plane[at];
+              if (v > best || (std::isnan(v) && !std::isnan(best))) {
                 best = v;
-                best_idx = p * H * W + ii * W + jj;
+                best_at = at;
               }
             }
           }
           out[oi] = best;
-          argmax_[oi] = best_idx;
+          argmax_[oi] = p * H * W + best_at;
         }
       }
     }

@@ -1,9 +1,10 @@
 // Layer abstraction for the from-scratch DL framework (TensorFlow/Keras
 // stand-in of the paper's software stack).
 //
-// Contract: forward() caches whatever backward() needs; backward() consumes
-// the cached state, accumulates parameter gradients, and returns the gradient
-// with respect to the layer input.  Parameter gradients are *accumulated*
+// Contract: forward() caches whatever backward() needs (a copy: the argument
+// is only borrowed for the call); backward() consumes the cached state,
+// accumulates parameter gradients, and returns the gradient with respect to
+// the layer input.  Parameter gradients are *accumulated*
 // (+=) so data-parallel microbatching works; callers zero them via
 // zero_grads().  forward_flops() reports the arithmetic of the last forward
 // pass so trainers can charge simulated time (backward is charged as 2x
@@ -83,16 +84,25 @@ class Sequential : public Layer {
     return *this;
   }
 
+  /// The first layer reads x itself, and the last layer's backward reads
+  /// grad_out itself: neither argument is copied (an empty Sequential
+  /// returns a copy).
   Tensor forward(const Tensor& x, bool training) override {
-    Tensor h = x;
-    for (auto& l : layers_) h = l->forward(h, training);
+    if (layers_.empty()) return x;
+    Tensor h = layers_.front()->forward(x, training);
+    for (auto it = layers_.begin() + 1; it != layers_.end(); ++it) {
+      h = (*it)->forward(h, training);
+    }
     return h;
   }
 
   Tensor backward(const Tensor& grad_out) override {
-    Tensor g = grad_out;
+    if (layers_.empty()) return grad_out;
+    const Tensor* in = &grad_out;
+    Tensor g;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      g = (*it)->backward(g);
+      g = (*it)->backward(*in);
+      in = &g;
       // Notify after the child completes: its parameter gradients are final
       // for this microbatch and may be reduced while we keep unwinding.
       if (observer_ != nullptr) observer_->on_layer_backward(**it);

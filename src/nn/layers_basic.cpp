@@ -2,9 +2,15 @@
 
 #include <cmath>
 
+#include "par/pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace msa::nn {
+
+namespace {
+// Grain of the elementwise loops, as in activations.cpp.
+constexpr std::size_t kEwGrain = 1 << 14;
+}  // namespace
 
 std::size_t parameter_count(Layer& layer) {
   std::size_t n = 0;
@@ -66,20 +72,42 @@ std::vector<Tensor*> Dense::grads() {
 // ---- ReLU --------------------------------------------------------------------
 
 Tensor ReLU::forward(const Tensor& x, bool /*training*/) {
-  mask_ = Tensor(x.shape());
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    const bool pos = y[i] > 0.0f;
-    mask_[i] = pos ? 1.0f : 0.0f;
-    if (!pos) y[i] = 0.0f;
-  }
+  shape_ = x.shape();
+  mask_.resize(x.numel());
+  Tensor y = Tensor::uninitialized(x.shape());
+  const float* in = x.data();
+  float* out = y.data();
+  std::uint8_t* mask = mask_.data();
+  par::parallel_for(0, x.numel(), kEwGrain, [=](std::size_t b, std::size_t e) {
+    // Byte stores may alias anything: copy the pointers out of the closure
+    // so the loop keeps them in registers and vectorises.
+    const float* src = in;
+    float* dst = out;
+    std::uint8_t* pos = mask;
+    for (std::size_t i = b; i < e; ++i) {
+      const bool keep = src[i] > 0.0f;
+      dst[i] = keep ? src[i] : 0.0f;
+      pos[i] = keep;
+    }
+  });
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  g.mul_(mask_);
-  return g;
+  if (grad_out.shape() != shape_) {
+    throw std::invalid_argument("ReLU backward: shape mismatch " +
+                                grad_out.shape_str());
+  }
+  Tensor gx = Tensor::uninitialized(grad_out.shape());
+  const float* g = grad_out.data();
+  const std::uint8_t* mask = mask_.data();
+  float* out = gx.data();
+  par::parallel_for(0, gx.numel(), kEwGrain, [=](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      out[i] = g[i] * static_cast<float>(mask[i]);
+    }
+  });
+  return gx;
 }
 
 // ---- Flatten -----------------------------------------------------------------

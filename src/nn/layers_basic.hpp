@@ -1,6 +1,9 @@
 // Dense, ReLU, Flatten and Dropout layers.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/layer.hpp"
 
 namespace msa::nn {
@@ -29,7 +32,13 @@ class Dense : public Layer {
   double flops_ = 0.0;
 };
 
-/// Element-wise max(x, 0).
+/// Element-wise max(x, 0): y = x where x > 0, else +0 (so -0 and NaN give
+/// +0).  The forward is one select pass on the pool that writes y and a
+/// one-byte 0/1 mask; the mask buffer is reused while the input size stays
+/// the same.  The backward multiplies, gx = g * float(mask), rather than
+/// selecting: that is what gives -0 for a negative g at a masked element
+/// and NaN for g = +-inf there, and those bits are part of the layer's
+/// contract.
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& x, bool training) override;
@@ -37,7 +46,8 @@ class ReLU : public Layer {
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor mask_;
+  Shape shape_;
+  std::vector<std::uint8_t> mask_;  // 1 where x > 0
 };
 
 /// Collapse all non-batch dimensions: (B, ...) -> (B, prod(...)).

@@ -8,6 +8,16 @@ namespace msa::nn {
 /// BatchNorm over (B, H, W) per channel, NCHW input.  Tracks running
 /// statistics for inference, standard full backward through the batch
 /// statistics.
+///
+/// Each chunk on the pool takes a group of consecutive channels, 4 in the
+/// forward and 2 in the backward (the channels left over form a smaller
+/// last group), and runs their double sums (mean and variance; sum(g) and
+/// sum(g * xhat)) interleaved: element i of every channel in the group
+/// before element i + 1.  Each channel still adds its own values in
+/// (sample, pixel) order into its own accumulator, so every sum, and every
+/// output bit, is what one channel at a time gives; the interleave only
+/// lets the chains of dependent adds overlap.  The xhat cache is reused
+/// while the input shape stays the same.
 class BatchNorm2D : public Layer {
  public:
   explicit BatchNorm2D(std::size_t channels, float momentum = 0.1f,

@@ -28,12 +28,13 @@ ResidualBlock::ResidualBlock(std::size_t in_ch, std::size_t out_ch,
 }
 
 Tensor ResidualBlock::forward(const Tensor& x, bool training) {
-  Tensor main_out = main_.forward(x, training);
-  Tensor shortcut =
-      proj_ ? proj_bn_->forward(proj_->forward(x, training), training) : x;
-  main_out.add_(shortcut);
-  sum_cache_ = main_out;  // pre-activation sum, needed by ReLU backward
-  return out_relu_.forward(main_out, training);
+  Tensor sum = main_.forward(x, training);
+  if (proj_) {
+    sum.add_(proj_bn_->forward(proj_->forward(x, training), training));
+  } else {
+    sum.add_(x);
+  }
+  return out_relu_.forward(sum, training);
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_out) {

@@ -42,7 +42,6 @@ class ResidualBlock : public Layer {
   std::unique_ptr<Conv2D> proj_;   // nullptr for identity shortcut
   std::unique_ptr<Layer> proj_bn_; // norm on the projection path
   ReLU out_relu_;
-  Tensor sum_cache_;
 };
 
 }  // namespace msa::nn

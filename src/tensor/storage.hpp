@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "par/aligned.hpp"
@@ -23,11 +25,19 @@ namespace msa::tensor {
 
 class Storage {
  public:
+  /// Tag of the constructor that leaves the elements unwritten.
+  struct Uninitialized {};
+
   Storage() = default;
   explicit Storage(std::size_t n, float value = 0.0f) : data_(n, value) {}
+  /// n elements left unwritten, for a caller that writes every one of them
+  /// before anything reads it: no fill pass.
+  Storage(std::size_t n, Uninitialized /*tag*/) : data_(n) {}
   /// Copies data into an aligned buffer.
   explicit Storage(const std::vector<float>& data)
       : data_(data.begin(), data.end()) {}
+  /// Copies [first, last) into an aligned buffer, in one pass.
+  Storage(const float* first, const float* last) : data_(first, last) {}
 
   [[nodiscard]] float* data() { return data_.data(); }
   [[nodiscard]] const float* data() const { return data_.data(); }
@@ -38,7 +48,21 @@ class Storage {
   void fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
  private:
-  par::CacheLineVector<float> data_;
+  // The cache-line allocator, except that a construct without a value
+  // default-initialises: a float sized in by vector(n) stays unwritten.
+  template <class T>
+  struct Allocator : par::CacheLineAllocator<T> {
+    template <class U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
+  std::vector<float, Allocator<float>> data_;
 };
 
 }  // namespace msa::tensor

@@ -5,7 +5,24 @@
 #include <numeric>
 #include <sstream>
 
+#include "par/pool.hpp"
+
 namespace msa::tensor {
+
+namespace {
+// Grain of the elementwise in-place ops, as for the elementwise layers.
+constexpr std::size_t kEwGrain = 1 << 14;
+
+// y[i] = op(y[i], x[i]) for every i < n, in chunks on the pool.  Each
+// element depends on its own inputs alone, so the bits do not depend on the
+// pool size.
+template <typename Op>
+void zip_inplace(float* y, const float* x, std::size_t n, Op op) {
+  par::parallel_for(0, n, kEwGrain, [=](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) y[i] = op(y[i], x[i]);
+  });
+}
+}  // namespace
 
 std::size_t Tensor::numel_of(const Shape& shape) {
   std::size_t n = 1;
@@ -18,9 +35,8 @@ void Tensor::assign_deep(const Tensor& other) {
   numel_ = other.numel_;
   offset_ = 0;
   view_ = false;
-  storage_ = std::make_shared<Storage>(numel_);
+  storage_ = std::make_shared<Storage>(other.base_, other.base_ + numel_);
   base_ = storage_->data();
-  std::copy(other.base_, other.base_ + numel_, base_);
 }
 
 Tensor& Tensor::operator=(const Tensor& other) {
@@ -54,6 +70,15 @@ Tensor Tensor::view_of(std::shared_ptr<Storage> storage, std::size_t offset,
   t.numel_ = n;
   t.base_ = t.storage_->data() + offset;
   t.view_ = true;
+  return t;
+}
+
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.numel_ = numel_of(t.shape_);
+  t.storage_ = std::make_shared<Storage>(t.numel_, Storage::Uninitialized{});
+  t.base_ = t.storage_->data();
   return t;
 }
 
@@ -118,30 +143,37 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* what) {
 
 Tensor& Tensor::add_(const Tensor& other) {
   check_same_shape(*this, other, "add_");
-  for (std::size_t i = 0; i < numel_; ++i) base_[i] += other.base_[i];
+  zip_inplace(base_, other.base_, numel_,
+              [](float y, float x) { return y + x; });
   return *this;
 }
 
 Tensor& Tensor::sub_(const Tensor& other) {
   check_same_shape(*this, other, "sub_");
-  for (std::size_t i = 0; i < numel_; ++i) base_[i] -= other.base_[i];
+  zip_inplace(base_, other.base_, numel_,
+              [](float y, float x) { return y - x; });
   return *this;
 }
 
 Tensor& Tensor::mul_(const Tensor& other) {
   check_same_shape(*this, other, "mul_");
-  for (std::size_t i = 0; i < numel_; ++i) base_[i] *= other.base_[i];
+  zip_inplace(base_, other.base_, numel_,
+              [](float y, float x) { return y * x; });
   return *this;
 }
 
 Tensor& Tensor::scale_(float s) {
-  for (std::size_t i = 0; i < numel_; ++i) base_[i] *= s;
+  float* y = base_;
+  par::parallel_for(0, numel_, kEwGrain, [=](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) y[i] *= s;
+  });
   return *this;
 }
 
 Tensor& Tensor::axpy_(float alpha, const Tensor& x) {
   check_same_shape(*this, x, "axpy_");
-  for (std::size_t i = 0; i < numel_; ++i) base_[i] += alpha * x.base_[i];
+  zip_inplace(base_, x.base_, numel_,
+              [alpha](float y, float xi) { return y + alpha * xi; });
   return *this;
 }
 

@@ -69,6 +69,9 @@ class Tensor {
 
   // ---- factories -----------------------------------------------------------
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
+  /// A tensor whose elements are left unwritten (no fill pass), for a
+  /// kernel that writes every element before anything reads it.
+  static Tensor uninitialized(Shape shape);
   static Tensor full(Shape shape, float value);
   static Tensor ones(Shape shape) { return full(std::move(shape), 1.0f); }
   static Tensor randn(Shape shape, Rng& rng, float stddev = 1.0f);
@@ -136,6 +139,9 @@ class Tensor {
   }
 
   // ---- in-place arithmetic ---------------------------------------------------
+  // add_, sub_, mul_, scale_ and axpy_ run on the par pool in chunks of 2^14
+  // elements (inline below that).  Each element depends only on its own
+  // operands, so the bits do not depend on the pool size.
   Tensor& fill(float v);
   Tensor& add_(const Tensor& other);              ///< this += other
   Tensor& sub_(const Tensor& other);              ///< this -= other
