@@ -8,12 +8,13 @@
 // of dist::HealthMonitor:
 //
 //   none      health monitoring off — the whole job drags at 1/slowdown
-//   adaptive  rung 1 only: per-peer EWMA recv backstops (wall-clock only,
-//             trajectory-neutral — shown to prove it costs nothing)
+//   detect    rung 1 only: windowed detection, no mitigation applied —
+//             the cost of the watermark allgather, same trajectory
 //   reshard   rung 2: throughput-aware micro-batch re-sharding
 //   demote    rung 3: evict the straggler through the shrink path
-//   full      all rungs armed; re-sharding absorbs moderate slowness and
-//             demotion stays in reserve for what shares cannot contain
+//   full      re-sharding plus demotion after 4 windows; re-sharding
+//             absorbs moderate slowness and demotion stays in reserve for
+//             what shares cannot contain
 //
 // Throughput is nominal examples per simulated second (epochs * N rows over
 // the run's max simulated time), so modes that shrink the world are charged
@@ -22,7 +23,7 @@
 // argv[1]).  Everything in the JSON is simulated-time deterministic: same
 // binary, same JSON, whatever MSA_THREADS says (bench_gate checks it).  The
 // straggler column counts real-wall-clock recv backstop expiries, so it
-// stays out of the JSON.
+// stays out of the JSON; it reads 0 unless a recv waits 0.25 s of real time.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -71,11 +72,9 @@ dist::HealthOptions mode_health(const std::string& mode) {
   if (mode == "none") return h;
   h.enabled = true;
   h.window = 2;
-  if (mode == "adaptive") h.adaptive_backstop = true;
   if (mode == "reshard") h.rebalance = true;
   if (mode == "demote") h.demote_after = 2;
   if (mode == "full") {
-    h.adaptive_backstop = true;
     h.rebalance = true;
     h.demote_after = 4;
   }
@@ -156,7 +155,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_failslow.json";
   const int P = 32;
   const int epochs = 10;
-  const char* modes[] = {"none", "adaptive", "reshard", "demote", "full"};
+  const char* modes[] = {"none", "detect", "reshard", "demote", "full"};
   const double slowdowns[] = {2.0, 4.0, 8.0};
   // rebalance_s and straggler_wait_s are read off the whole span timeline,
   // so no ring may overwrite, whatever the caller's MSA_TRACE_SPANS: the
@@ -261,8 +260,9 @@ int main(int argc, char** argv) {
       "\npaper shape: unmitigated, the whole job runs at ~1/slowdown — one\n"
       "gray rank taxes all %d.  Re-sharding recovers most of the loss by\n"
       "matching shares to measured throughput; demotion trades the rank's\n"
-      "capacity plus one recovery stall for a clean steady state; adaptive\n"
-      "backstops are wall-clock-only and leave the trajectory untouched.\n",
+      "capacity plus one recovery stall for a clean steady state; detection\n"
+      "alone costs one small allgather per window and leaves the loss\n"
+      "untouched.\n",
       P);
   return 0;
 }

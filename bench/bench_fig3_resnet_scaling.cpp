@@ -113,11 +113,10 @@ StepModel model_training(const core::MsaSystem& system,
                 const std::uint64_t half = bytes / 2;
                 const std::uint64_t chunk =
                     bytes / static_cast<std::uint64_t>(nc.size());
-                nc.charge_allreduce(half, simnet::CollectiveAlgorithm::Ring,
-                                    0.0);  // ~ reduce-scatter phase
-                xc.charge_allreduce(chunk, alg, 0.0);
-                nc.charge_allreduce(half, simnet::CollectiveAlgorithm::Ring,
-                                    0.0);  // ~ allgather phase
+                // ~ reduce-scatter phase, cross-node reduce, ~ allgather
+                nc.charge_allreduce(half, simnet::CollectiveAlgorithm::Ring);
+                xc.charge_allreduce(chunk, alg);
+                nc.charge_allreduce(half, simnet::CollectiveAlgorithm::Ring);
               }));
         } else {
           reqs.push_back(comm.icharge_allreduce(bytes, alg));

@@ -112,7 +112,7 @@ Point run_point(const core::MsaSystem& system, int gpus, int stages,
       if (data.size() > 1) {
         data.charge_allreduce(
             static_cast<std::uint64_t>(share * kGradBytesFp16),
-            simnet::CollectiveAlgorithm::Ring, 0.0);
+            simnet::CollectiveAlgorithm::Ring);
       }
       comm.barrier();
     }

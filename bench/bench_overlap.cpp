@@ -82,12 +82,9 @@ Point run_point(const core::MsaSystem& system, const core::Module& module,
                 const std::uint64_t half = bytes / 2;
                 const std::uint64_t chunk =
                     bytes / static_cast<std::uint64_t>(nc.size());
-                nc.charge_allreduce(half, simnet::CollectiveAlgorithm::Ring,
-                                    0.0);
-                xc.charge_allreduce(chunk, simnet::CollectiveAlgorithm::Ring,
-                                    0.0);
-                nc.charge_allreduce(half, simnet::CollectiveAlgorithm::Ring,
-                                    0.0);
+                nc.charge_allreduce(half, simnet::CollectiveAlgorithm::Ring);
+                xc.charge_allreduce(chunk, simnet::CollectiveAlgorithm::Ring);
+                nc.charge_allreduce(half, simnet::CollectiveAlgorithm::Ring);
               }));
         } else {
           reqs.push_back(comm.icharge_allreduce(

@@ -9,6 +9,15 @@
 
 namespace msa::comm {
 
+namespace {
+
+/// Simulated seconds a rank is charged for acting on silence: declaring a
+/// peer dead, timing out, or leaving a recovery rendezvous.  Models the
+/// detection timeout a real system needs before it acts.
+constexpr double kDetectionTimeoutS = 1e-3;
+
+}  // namespace
+
 void Comm::send_bytes(std::span<const std::byte> bytes, int dest, int tag,
                       bool charge_link) {
   if (dest < 0 || dest >= size()) throw std::out_of_range("send: bad dest");
@@ -82,43 +91,14 @@ Envelope Comm::recv_envelope(int src, int tag) {
     RecvWaiter(const Comm* c, int s) : comm(c), src(s) {}
     bool abandoned() override { return comm->recv_abandoned(src); }
   } waiter(this, src);
-  const auto& opts = state_->failure_opts;
-  // An installed BackstopPolicy overrides the fixed backstop with a per-peer
-  // adaptive timeout (EWMA of observed waits with backoff — see failure.hpp).
-  // Policies only see real wall-clock time; any-source recvs fall back to the
-  // fixed backstop because there is no single peer to adapt to.
-  BackstopPolicy* policy =
-      (backstop_policy_ != nullptr && src != kAnySource) ? backstop_policy_
-                                                         : nullptr;
-  const int peer_world =
-      policy != nullptr ? members_[static_cast<std::size_t>(src)] : -1;
-  const double backstop =
-      policy != nullptr
-          ? policy->recv_backstop_s(peer_world)
-          : (wall_backstop_s_ >= 0.0 ? wall_backstop_s_ : opts.wall_backstop_s);
-  const int retries =
-      policy != nullptr
-          ? policy->recv_retries(peer_world)
-          : (backstop_retries_ >= 0 ? backstop_retries_ : opts.backstop_retries);
-  const auto real_begin = policy != nullptr
-                              ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
   auto res = state_->mailboxes[static_cast<std::size_t>(world_rank())].get(
-      comm_id_, src, tag, &waiter, backstop, retries);
-  if (policy != nullptr) {
-    const double waited =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      real_begin)
-            .count();
-    policy->observe_recv(peer_world, waited, res.late_waits);
-  }
+      comm_id_, src, tag, &waiter, wall_backstop_s_, backstop_retries_);
   if (res.late_waits > 0) {
+    // Backstop expiries depend on host load, so they are counted here and
+    // kept off the span timeline, which must replay bit-identically.
     state_->straggler_events[static_cast<std::size_t>(world_rank())]
         .fetch_add(static_cast<std::uint64_t>(res.late_waits),
                    std::memory_order_relaxed);
-    obs::instant(obs::Category::StragglerWait, "late_wait",
-                 /*bytes=*/0,
-                 /*detail=*/static_cast<std::uint64_t>(res.late_waits));
   }
   if (res.status == Mailbox::Status::Abandoned) {
     // This rank stops forwarding for the collective it is abandoning, so
@@ -127,7 +107,7 @@ Envelope Comm::recv_envelope(int src, int tag) {
     state_->mark_abandoned(comm_id_, world_rank());
     // Model the detection latency a real system pays before acting on
     // silence, then surface the failed set for recovery.
-    clock().advance(opts.detection_timeout_s);
+    clock().advance(kDetectionTimeoutS);
     std::vector<int> failed = state_->failed_snapshot();
     if (failed.empty()) {
       // No Failed rank anywhere: the wait was orphaned by clean Exits or an
@@ -147,7 +127,7 @@ Envelope Comm::recv_envelope(int src, int tag) {
   if (res.status == Mailbox::Status::TimedOut) {
     // A final backstop expiry also abandons the collective mid-flight.
     state_->mark_abandoned(comm_id_, world_rank());
-    clock().advance(opts.detection_timeout_s);
+    clock().advance(kDetectionTimeoutS);
     throw CommTimeoutError(
         "recv: wall-clock backstop expired with no liveness verdict (rank " +
         std::to_string(world_rank()) + " waiting on comm " +
@@ -222,16 +202,14 @@ void Comm::sync_clocks_and_charge(double cost) {
 }
 
 void Comm::charge_allreduce(std::uint64_t n_bytes,
-                            std::optional<simnet::CollectiveAlgorithm> alg,
-                            double overlap_credit_s) {
+                            std::optional<simnet::CollectiveAlgorithm> alg) {
   if (size() == 1) return;
   obs::ScopedSpan span(obs::Category::Comm, "charge_allreduce", world_rank(),
                        &clock(), n_bytes, 0, comm_id_);
   const auto model = machine().collective_model(members_);
   const auto chosen = alg.value_or(model.best_allreduce(
       size(), n_bytes, machine().gce_usable(members_)));
-  const double cost = model.allreduce(size(), n_bytes, chosen);
-  sync_clocks_and_charge(std::max(0.0, cost - overlap_credit_s));
+  sync_clocks_and_charge(model.allreduce(size(), n_bytes, chosen));
 }
 
 Comm Comm::split(int color, int key) {
@@ -273,17 +251,10 @@ Comm Comm::split_known(int color, std::span<const int> ranks) {
   child.ack_epoch_ = ack_epoch_;
   child.wall_backstop_s_ = wall_backstop_s_;
   child.backstop_retries_ = backstop_retries_;
-  child.backstop_policy_ = backstop_policy_;
   return child;
 }
 
 void Comm::rejoin() {
-  const auto& opts = state_->failure_opts;
-  const double backstop =
-      wall_backstop_s_ >= 0.0 ? wall_backstop_s_ : opts.wall_backstop_s;
-  const int retries =
-      backstop_retries_ >= 0 ? backstop_retries_ : opts.backstop_retries;
-
   std::unique_lock lock(state_->join_mutex);
   auto& js = state_->joins[comm_id_];
   const std::uint64_t my_gen = js.generation;
@@ -305,7 +276,7 @@ void Comm::rejoin() {
   auto abandon = [&](std::vector<int> gone) {
     js.arrivals.erase(world_rank());
     lock.unlock();
-    clock().advance(opts.detection_timeout_s);
+    clock().advance(kDetectionTimeoutS);
     throw RankFailedError(std::move(gone), "rejoin");
   };
 
@@ -341,20 +312,21 @@ void Comm::rejoin() {
       // Completion wins over abandonment (checked by the loop condition
       // first), mirroring the mailbox's match-wins ordering.
       if (auto gone = hopeless(); !gone.empty()) abandon(std::move(gone));
-      if (backstop <= 0.0) {
+      if (wall_backstop_s_ <= 0.0) {
         state_->join_cv.wait(lock);
       } else {
-        if (expiries > retries) {
+        if (expiries > backstop_retries_) {
           js.arrivals.erase(world_rank());
           lock.unlock();
-          clock().advance(opts.detection_timeout_s);
+          clock().advance(kDetectionTimeoutS);
           throw CommTimeoutError(
               "rejoin: wall-clock backstop expired before all survivors "
               "arrived (rank " +
               std::to_string(world_rank()) + ", comm " +
               std::to_string(comm_id_) + ")");
         }
-        const double wait_s = backstop * static_cast<double>(1 << expiries);
+        const double wait_s =
+            wall_backstop_s_ * static_cast<double>(1 << expiries);
         if (state_->join_cv.wait_for(
                 lock, std::chrono::duration<double>(wait_s)) ==
             std::cv_status::timeout) {
@@ -366,7 +338,7 @@ void Comm::rejoin() {
   const auto [seq, t] = js.results.at(my_gen);
   lock.unlock();
   coll_seq_ = seq;
-  clock().sync_to(t + opts.detection_timeout_s);
+  clock().sync_to(t + kDetectionTimeoutS);
 }
 
 Comm Comm::shrink(const std::vector<int>& dead_world_ranks) const {
@@ -412,7 +384,6 @@ Comm Comm::shrink(const std::vector<int>& dead_world_ranks) const {
   child.ack_epoch_ = ack_epoch_;
   child.wall_backstop_s_ = wall_backstop_s_;
   child.backstop_retries_ = backstop_retries_;
-  child.backstop_policy_ = backstop_policy_;
   return child;
 }
 

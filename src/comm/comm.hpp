@@ -173,7 +173,6 @@ struct SharedState {
   // Fault-injection hooks; null when no plan is armed (the common case), so
   // the hot paths pay a single pointer test.
   std::shared_ptr<FaultHooks> hooks;
-  FailureOptions failure_opts;
 
   [[nodiscard]] RankState state_of(int world_rank) const {
     return static_cast<RankState>(
@@ -597,11 +596,8 @@ class Comm {
   /// without moving that payload.  Used by performance-model benches to
   /// price full-scale workloads (e.g. ResNet-50's 102 MB gradients) while
   /// the numerics run on a scaled stand-in (see DESIGN.md, dual clock).
-  /// @p overlap_credit_s models Horovod's overlap of communication with the
-  /// backward pass: only the exposed remainder is charged.
   void charge_allreduce(std::uint64_t n_bytes,
-                        std::optional<simnet::CollectiveAlgorithm> alg = {},
-                        double overlap_credit_s = 0.0);
+                        std::optional<simnet::CollectiveAlgorithm> alg = {});
 
   /// ---- nonblocking operations (see request.hpp) ---------------------------
 
@@ -652,7 +648,7 @@ class Comm {
   }
 
   /// Nonblocking counterpart of charge_allreduce (time-only, no payload);
-  /// overlap emerges from the drain instead of an analytic credit.
+  /// overlap with the caller's compute emerges from the drain.
   Request icharge_allreduce(
       std::uint64_t n_bytes,
       std::optional<simnet::CollectiveAlgorithm> alg = {}) {
@@ -660,7 +656,7 @@ class Comm {
     Comm snapshot = reserve_coll_window();
     return progress_engine().submit_deferred(
         n_bytes, [snapshot, n_bytes, alg]() mutable {
-          snapshot.charge_allreduce(n_bytes, alg, /*overlap_credit_s=*/0.0);
+          snapshot.charge_allreduce(n_bytes, alg);
         });
   }
 
@@ -755,21 +751,15 @@ class Comm {
     return state_->failed_snapshot();
   }
 
-  /// Override the real-wall-clock recv backstop for this handle (seconds; 0
-  /// restores "wait for a liveness event").  @p retries extra doubled waits
-  /// tolerate transient stragglers before CommTimeoutError.
+  /// Set the real-wall-clock backstop of this handle's blocking recvs and
+  /// rejoins (seconds; 0, the default, waits for a liveness event).
+  /// @p retries extra doubled waits tolerate transient stragglers before
+  /// CommTimeoutError.  Handles later made from this one by split,
+  /// split_known, dup or shrink inherit the setting.  Wall-clock only:
+  /// simulated time is untouched until the final expiry.
   void set_wall_backstop(double seconds, int retries = 1) {
     wall_backstop_s_ = seconds;
     backstop_retries_ = retries;
-  }
-
-  /// Install an adaptive per-peer backstop policy on this handle (null
-  /// uninstalls).  When set it overrides the fixed wall backstop: recv asks
-  /// the policy per source rank and reports the real wait back to it.  The
-  /// policy must outlive the handle (and any split/shrink children, which
-  /// inherit the pointer).  Wall-clock only: simulated time is untouched.
-  void set_backstop_policy(BackstopPolicy* policy) {
-    backstop_policy_ = policy;
   }
 
   /// Times this rank survived a backstop expiry and then got its message —
@@ -924,9 +914,8 @@ class Comm {
   std::uint64_t split_seq_ = 0;
   // Failure-detection state, inherited by split()/shrink() children.
   std::uint64_t ack_epoch_ = 0;       // failure epoch this handle has accepted
-  double wall_backstop_s_ = -1.0;     // < 0: use FailureOptions default
-  int backstop_retries_ = -1;         // < 0: use FailureOptions default
-  BackstopPolicy* backstop_policy_ = nullptr;  // adaptive override (not owned)
+  double wall_backstop_s_ = 0.0;      // 0: wait for a liveness event
+  int backstop_retries_ = 1;          // doubled re-waits after the first expiry
 };
 
 // ---- template implementations ----------------------------------------------

@@ -122,19 +122,6 @@ class AggregateRankError : public std::runtime_error {
   std::vector<std::pair<int, std::string>> errors_;
 };
 
-/// Runtime-wide failure-detection knobs (set before Runtime::run).
-struct FailureOptions {
-  /// Simulated time charged to a rank when it declares a peer dead — models
-  /// the detection timeout a real system needs before acting on silence.
-  double detection_timeout_s = 1e-3;
-  /// Real-wall-clock backstop per blocking recv; 0 disables (wait until a
-  /// liveness event).  Comm::set_wall_backstop overrides per handle.
-  double wall_backstop_s = 0.0;
-  /// Extra doubled re-waits after the first backstop expiry, tolerating
-  /// transient stragglers before declaring CommTimeoutError.
-  int backstop_retries = 1;
-};
-
 /// What a disk fault does to the checkpoint file a rank just wrote.
 enum class DiskFaultKind : int {
   None = 0,       ///< write landed intact
@@ -174,29 +161,6 @@ struct FaultHooks {
   virtual DiskFaultKind on_checkpoint_write(int /*world_rank*/) {
     return DiskFaultKind::None;
   }
-};
-
-/// Policy interface for adaptive per-peer recv backstops.  When installed on
-/// a Comm (Comm::set_backstop_policy) it replaces the fixed wall-clock
-/// backstop: recv asks it for the timeout and retry budget per source rank,
-/// and reports back the real wait it measured so the policy can adapt (EWMA
-/// of observed latencies, exponential backoff on expiry).  The policy only
-/// shapes *real* wall-clock waiting — it never touches simulated time, so a
-/// trajectory replayed with or without it is bit-identical.
-struct BackstopPolicy {
-  virtual ~BackstopPolicy() = default;
-
-  /// Wall-clock backstop in seconds for a blocking recv from @p src_world
-  /// (<= 0 means wait indefinitely for a liveness event).
-  virtual double recv_backstop_s(int src_world) = 0;
-
-  /// Doubled re-waits granted after the first expiry for @p src_world.
-  virtual int recv_retries(int src_world) = 0;
-
-  /// Feedback after a recv completes: the real seconds the receiver waited
-  /// and how many backstop expiries (late waits) it absorbed.
-  virtual void observe_recv(int src_world, double real_wait_s,
-                            int late_waits) = 0;
 };
 
 }  // namespace msa::comm

@@ -39,11 +39,6 @@ class Runtime {
     state_->hooks = std::move(hooks);
   }
 
-  /// Failure-detection knobs for subsequent runs.
-  void set_failure_options(const FailureOptions& opts) {
-    state_->failure_opts = opts;
-  }
-
   /// (world rank, step) of every injected kill during the last run().
   [[nodiscard]] const std::vector<std::pair<int, int>>& killed_ranks() const {
     return killed_;

@@ -14,9 +14,12 @@ namespace msa::dist {
 
 namespace {
 
-/// Median of @p v (copied; even count averages the middle pair).  The input
-/// order is irrelevant, so every rank gets the same value from the same
-/// allgathered multiset.
+std::uint64_t fold_double(std::uint64_t h, double v) {
+  return hash::combine(h, std::bit_cast<std::uint64_t>(v));
+}
+
+}  // namespace
+
 double median_of(std::vector<double> v) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
@@ -24,12 +27,6 @@ double median_of(std::vector<double> v) {
   if (v.size() % 2 == 1) return v[mid];
   return 0.5 * (v[mid - 1] + v[mid]);
 }
-
-std::uint64_t fold_double(std::uint64_t h, double v) {
-  return hash::combine(h, std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
 
 std::vector<int> balanced_batch_counts(const std::vector<double>& weights,
                                        int total) {
@@ -63,42 +60,6 @@ std::vector<int> balanced_batch_counts(const std::vector<double>& weights,
     ++counts[best];
   }
   return counts;
-}
-
-AdaptiveBackstop::AdaptiveBackstop(const HealthOptions& options,
-                                   int world_size, double base_backstop_s)
-    : options_(options),
-      base_s_(base_backstop_s),
-      peers_(static_cast<std::size_t>(world_size)) {}
-
-double AdaptiveBackstop::recv_backstop_s(int src_world) {
-  const Peer& p = peers_[static_cast<std::size_t>(src_world)];
-  double t = p.ewma_s < 0.0
-                 ? base_s_
-                 : std::clamp(options_.backstop_mult * p.ewma_s,
-                              options_.backstop_min_s, options_.backstop_max_s);
-  // Exponential backoff after late waits: a peer that just blew its budget
-  // earns geometrically more patience before the next escalation.
-  t *= static_cast<double>(1 << std::min(p.backoff, 4));
-  return std::min(t, options_.backstop_max_s * 16.0);
-}
-
-int AdaptiveBackstop::recv_retries(int /*src_world*/) {
-  return options_.backstop_retries;
-}
-
-void AdaptiveBackstop::observe_recv(int src_world, double real_wait_s,
-                                    int late_waits) {
-  Peer& p = peers_[static_cast<std::size_t>(src_world)];
-  p.ewma_s = p.ewma_s < 0.0 ? real_wait_s
-                            : (1.0 - options_.backstop_alpha) * p.ewma_s +
-                                  options_.backstop_alpha * real_wait_s;
-  if (late_waits > 0) {
-    p.backoff = std::min(p.backoff + 1, 4);
-    ++escalations_;
-  } else if (p.backoff > 0) {
-    --p.backoff;
-  }
 }
 
 void HealthMonitor::reset(comm::Comm& comm, int batch_size) {

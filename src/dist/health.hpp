@@ -28,10 +28,8 @@
 // bit-identical and decisions are independent of MSA_THREADS.
 //
 // The mitigation ladder, in escalation order:
-//   1. Adaptive backstops (AdaptiveBackstop): per-peer EWMA of real recv
-//      waits replaces the fixed wall-clock recv backstop, with exponential
-//      backoff after late waits.  Wall-clock only — it shapes when the
-//      liveness machinery fires, never the training trajectory.
+//   1. Detection alone (enabled): every window flags the slow ranks and
+//      folds the verdict into the digest; nothing else changes.
 //   2. Throughput-aware re-sharding: per-rank micro-batch sizes rebalanced
 //      proportional to measured throughput (balanced_batch_counts), so the
 //      slow rank gets fewer rows and the window skew collapses.  Gradient
@@ -72,13 +70,6 @@ struct HealthOptions {
   /// the one-row-minimum shares can contain reaches demotion (0 = never).
   bool rebalance = false;
   int demote_after = 0;
-  /// Adaptive recv backstop (rung 1); wall-clock only.
-  bool adaptive_backstop = false;
-  double backstop_alpha = 0.25;  ///< EWMA smoothing of observed recv waits
-  double backstop_mult = 8.0;    ///< timeout = mult * EWMA, clamped below
-  double backstop_min_s = 0.02;
-  double backstop_max_s = 2.0;
-  int backstop_retries = 3;
   /// Optional telemetry sink: comm-rank 0 samples it at every window
   /// boundary (after health.* gauges are published), stamped with the
   /// window-close simulated time.  Window boundaries are collectively
@@ -107,42 +98,10 @@ struct HealthDecision {
 [[nodiscard]] std::vector<int> balanced_batch_counts(
     const std::vector<double>& weights, int total);
 
-/// Rung 1: per-peer adaptive recv backstop (comm::BackstopPolicy).
-///
-/// Tracks an EWMA of the real seconds each recv from a peer waited and sets
-/// that peer's backstop to clamp(mult * EWMA, min_s, max_s), doubling it
-/// (exponential backoff, capped) after every late wait and decaying the
-/// backoff once waits come back on time.  Purely wall-clock: it decides how
-/// patient the liveness machinery is with a slow peer, and never touches
-/// simulated time — trajectories with and without it are bit-identical.
-///
-/// One instance per rank thread (installed on that rank's Comm handles), so
-/// no synchronisation is needed.
-class AdaptiveBackstop final : public comm::BackstopPolicy {
- public:
-  /// @p base_backstop_s seeds peers with no samples yet (the fixed backstop
-  /// the policy replaces); @p world_size indexes peers by world rank.
-  AdaptiveBackstop(const HealthOptions& options, int world_size,
-                   double base_backstop_s);
-
-  [[nodiscard]] double recv_backstop_s(int src_world) override;
-  [[nodiscard]] int recv_retries(int src_world) override;
-  void observe_recv(int src_world, double real_wait_s,
-                    int late_waits) override;
-
-  /// Late waits that triggered a backoff escalation (visibility).
-  [[nodiscard]] std::uint64_t escalations() const { return escalations_; }
-
- private:
-  struct Peer {
-    double ewma_s = -1.0;  ///< -1: no sample yet
-    int backoff = 0;       ///< exponent, capped
-  };
-  HealthOptions options_;
-  double base_s_;
-  std::vector<Peer> peers_;  // indexed by world rank
-  std::uint64_t escalations_ = 0;
-};
+/// Median of @p v (copied; an even count averages the middle pair, an empty
+/// one gives 0).  The input order is irrelevant, so every rank gets the same
+/// value from the same allgathered multiset.
+[[nodiscard]] double median_of(std::vector<double> v);
 
 /// Windowed fail-slow detector + mitigation chooser.  SPMD: every rank owns
 /// one monitor and calls on_step after every training step; at window

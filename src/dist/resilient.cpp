@@ -14,6 +14,12 @@ namespace msa::dist {
 
 namespace {
 
+/// Real-wall-clock recv backstop of the trainer's communicators: a recv
+/// that waits 0.25 s, then 0.5 s and 1 s more with no liveness verdict
+/// raises CommTimeoutError, which the loop answers with a rollback.
+constexpr double kRecvBackstopS = 0.25;
+constexpr int kRecvBackstopRetries = 2;
+
 /// Batch assembly: copy @p count dataset rows picked by @p idx[begin...]
 /// into a fresh [count, ...] tensor.
 nn::Tensor gather_rows(const nn::Tensor& x,
@@ -84,17 +90,10 @@ ResilientTrainer::ResilientTrainer(comm::Comm& comm,
       world_(comm),
       options_(std::move(options)),
       weighted_shards_(hybrid.pipeline_stages == 1) {
-  comm_.set_wall_backstop(options_.wall_backstop_s, options_.backstop_retries);
-  world_.set_wall_backstop(options_.wall_backstop_s, options_.backstop_retries);
+  // Set on world_ too, so the shrink children recovery builds inherit it.
+  comm_.set_wall_backstop(kRecvBackstopS, kRecvBackstopRetries);
+  world_.set_wall_backstop(kRecvBackstopS, kRecvBackstopRetries);
   health_ = HealthMonitor(options_.health);
-  if (options_.health.adaptive_backstop) {
-    // Rung 1 of the mitigation ladder: per-peer EWMA timeouts replace the
-    // fixed backstop.  Installed on world_ too so shrink children inherit it.
-    adaptive_backstop_ = std::make_unique<AdaptiveBackstop>(
-        options_.health, comm_.machine().ranks(), options_.wall_backstop_s);
-    comm_.set_backstop_policy(adaptive_backstop_.get());
-    world_.set_backstop_policy(adaptive_backstop_.get());
-  }
   strategy_.emplace(comm_, std::move(model), std::move(optimizer), hybrid);
   report_.final_world = comm_.size();
 }

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,8 +38,6 @@ namespace msa::dist {
 struct ResilientOptions {
   int checkpoint_interval = 10;   ///< steps between slab snapshots
   std::string checkpoint_dir;     ///< when set, rank 0 mirrors snapshots to disk
-  double wall_backstop_s = 0.25;  ///< real-seconds recv backstop (0 = off)
-  int backstop_retries = 2;       ///< doubled re-waits for transient stragglers
   int max_recoveries = 8;         ///< abort after this many recovery cycles
   std::uint64_t sampler_seed = 42;
   /// Fail-slow detection and mitigation (see dist/health.hpp); off by
@@ -143,9 +140,7 @@ class ResilientTrainer {
   /// pipeline cannot honour: only a one-stage layout gets it.
   bool weighted_shards_ = false;
   HealthMonitor health_{HealthOptions{}};
-  std::unique_ptr<AdaptiveBackstop> adaptive_backstop_;
-  /// Built after the backstops are installed, so its communicators inherit
-  /// them.
+  /// Built after the recv backstop is set, so its communicators inherit it.
   std::optional<HybridStrategy> strategy_;
   Snapshot snap_;
   Snapshot prev_;  // one boundary older than snap_ (see recover())

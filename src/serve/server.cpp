@@ -9,6 +9,7 @@
 
 #include "comm/failure.hpp"
 #include "core/hash.hpp"
+#include "dist/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -16,15 +17,6 @@
 namespace msa::serve {
 
 namespace {
-
-/// Median of an unsorted sample (copy-and-sort; even n averages the middle
-/// pair).  Empty input returns 0.
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
 
 /// Dense mat-mul forward flops of the served MLP, per input row (the
 /// 2-flops-per-MAC convention the nn layers report).
@@ -392,11 +384,11 @@ void Server::refresh_flags() {
       scores.push_back(m.score);
     }
   }
-  const double med = median(scores);
+  const double med = dist::median_of(scores);
   std::vector<double> dev;
   dev.reserve(scores.size());
   for (double s : scores) dev.push_back(std::abs(s - med));
-  const double mad = median(std::move(dev));
+  const double mad = dist::median_of(std::move(dev));
   for (auto& m : meters_) {
     if (!m.alive || m.flagged || m.replies < options_.health.min_replies) {
       continue;

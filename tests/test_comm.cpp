@@ -385,22 +385,6 @@ TEST(Comm, ChargeAllreduceMatchesAnalyticModel) {
   });
 }
 
-TEST(Comm, ChargeAllreduceOverlapCredit) {
-  Runtime rt = make_runtime(4, /*per_node=*/1);
-  rt.run([](Comm& comm) {
-    const std::uint64_t bytes = 1u << 20;
-    const auto model =
-        comm.machine().collective_model({0, 1, 2, 3});
-    const double full = model.allreduce(4, bytes, CollectiveAlgorithm::Ring);
-    // Credit larger than the cost: nothing charged.
-    comm.charge_allreduce(bytes, CollectiveAlgorithm::Ring, full * 2.0);
-    EXPECT_DOUBLE_EQ(comm.sim_now(), 0.0);
-    // Half credit: exposed remainder charged.
-    comm.charge_allreduce(bytes, CollectiveAlgorithm::Ring, full / 2.0);
-    EXPECT_NEAR(comm.sim_now(), full / 2.0, 1e-12);
-  });
-}
-
 TEST(Comm, ChargeAllreduceMovesNoPayload) {
   Runtime rt = make_runtime(4, /*per_node=*/1);
   rt.run([](Comm& comm) {

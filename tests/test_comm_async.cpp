@@ -205,7 +205,7 @@ TEST(CommAsync, DeferredCollectiveOverlapsCompute) {
 
   Runtime blocking = make_runtime(4);
   blocking.run([&](Comm& comm) {
-    comm.charge_allreduce(bytes, CollectiveAlgorithm::Ring, 0.0);
+    comm.charge_allreduce(bytes, CollectiveAlgorithm::Ring);
     comm.charge_compute(flops, 0.0);
   });
 

@@ -1,7 +1,7 @@
 // Fail-slow (gray-failure) detection and mitigation tests.
 //
 // Layers under test: the robust window statistics and mitigation ladder of
-// dist/health.hpp (balanced shares, adaptive backstops, flagging, demotion),
+// dist/health.hpp (balanced shares, flagging, re-sharding, demotion),
 // the compute-degradation / link-flap / disk faults added to FaultPlan, the
 // checkpoint checksum trailer (MSALIB02), and the end-to-end story: a 4x
 // slow rank is detected deterministically, load shifts away from it (or it
@@ -30,7 +30,6 @@ namespace {
 
 using msa::comm::Comm;
 using msa::comm::Runtime;
-using msa::dist::AdaptiveBackstop;
 using msa::dist::balanced_batch_counts;
 using msa::dist::HealthDecision;
 using msa::dist::HealthOptions;
@@ -82,35 +81,6 @@ TEST(Health, BalancedBatchCountsProportionalExactAndMinOne) {
   const auto floor1 = balanced_batch_counts({1.0, 0.0}, 8);
   EXPECT_EQ(floor1[0] + floor1[1], 8);
   EXPECT_GE(floor1[1], 1);
-}
-
-TEST(Health, AdaptiveBackstopTracksEwmaAndBacksOff) {
-  HealthOptions opts;
-  opts.backstop_alpha = 0.5;
-  opts.backstop_mult = 8.0;
-  opts.backstop_min_s = 0.01;
-  opts.backstop_max_s = 1.0;
-  opts.backstop_retries = 3;
-  AdaptiveBackstop policy(opts, /*world_size=*/4, /*base_backstop_s=*/0.25);
-
-  // No samples yet: the fixed base backstop applies.
-  EXPECT_DOUBLE_EQ(policy.recv_backstop_s(1), 0.25);
-  EXPECT_EQ(policy.recv_retries(1), 3);
-
-  // Fast peer: EWMA pulls the timeout down to the clamp floor.
-  for (int i = 0; i < 8; ++i) policy.observe_recv(1, 1e-4, /*late_waits=*/0);
-  EXPECT_DOUBLE_EQ(policy.recv_backstop_s(1), opts.backstop_min_s);
-
-  // A late wait escalates exponentially; on-time waits decay the backoff.
-  const double before = policy.recv_backstop_s(1);
-  policy.observe_recv(1, 1e-4, /*late_waits=*/2);
-  EXPECT_GT(policy.recv_backstop_s(1), before);
-  EXPECT_EQ(policy.escalations(), 1u);
-  policy.observe_recv(1, 1e-4, /*late_waits=*/0);
-  EXPECT_DOUBLE_EQ(policy.recv_backstop_s(1), before);
-
-  // Peers are independent: rank 2's budget is untouched by rank 1's history.
-  EXPECT_DOUBLE_EQ(policy.recv_backstop_s(2), 0.25);
 }
 
 // ---- checkpoint integrity (MSALIB02 checksum trailer) -----------------------
@@ -317,7 +287,6 @@ TEST(FailSlow, MitigatedRunReplaysBitIdentically) {
   options.checkpoint_interval = 2;
   options.health = detection_on();
   options.health.rebalance = true;
-  options.health.adaptive_backstop = true;
   const FailSlowOutcome a = run_failslow(4, slow_rank_plan(1, 3.0), options);
   const FailSlowOutcome b = run_failslow(4, slow_rank_plan(1, 3.0), options);
   ASSERT_EQ(a.params.size(), b.params.size());

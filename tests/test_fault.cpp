@@ -7,11 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/runtime.hpp"
@@ -21,6 +27,7 @@
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
+#include "obs/trace.hpp"
 #include "par/pool.hpp"
 
 namespace {
@@ -135,25 +142,113 @@ TEST(FaultComm, SingleErrorKeepsItsType) {
                std::invalid_argument);
 }
 
-TEST(FaultComm, RecvBackstopTimesOut) {
-  // Nobody dies and nobody sends: the real-wall-clock backstop must fire
-  // rather than hang.  Both ranks block on each other; the first timeout
-  // fails that rank, the other then sees RankFailedError -> aggregate.
+/// How the handle a recv runs on is made from the root handle that carries
+/// the backstop.
+enum class Handle { Root, Split, SplitKnown, Dup, Shrink };
+
+class BackstopHandle : public ::testing::TestWithParam<Handle> {};
+
+TEST_P(BackstopHandle, RecvBackstopTimesOut) {
+  // The backstop is set on the root handle alone, so a child handle has it
+  // only by inheritance.  Rank 1 stays alive and never sends: nothing on the
+  // liveness board can end rank 0's recv, only the backstop, which must
+  // raise CommTimeoutError rather than hang.  Rank 2 sends nothing either;
+  // it is the rank shrink removes.
+  std::atomic<bool> done{false};
+  std::atomic<int> outcome{0};  // 1 timeout, 2 rank failed, 3 delivered
+  Runtime rt = make_runtime(3);
+  rt.run([&](Comm& root) {
+    root.set_wall_backstop(0.02, /*retries=*/1);
+    const bool pair = root.rank() < 2;
+    std::optional<Comm> comm;
+    switch (GetParam()) {
+      case Handle::Root:
+        comm = root;
+        break;
+      case Handle::Split:
+        comm = root.split(pair ? 0 : 1, root.rank());
+        break;
+      case Handle::SplitKnown:
+        if (pair) comm = root.split_known(0, std::vector<int>{0, 1});
+        break;
+      case Handle::Dup:
+        comm = root.dup();
+        break;
+      case Handle::Shrink:
+        if (pair) comm = root.shrink({2});
+        break;
+    }
+    if (root.rank() == 0) {
+      try {
+        float buf = 0.0f;
+        comm->recv(std::span<float>(&buf, 1), 1, 77);
+        outcome = 3;
+      } catch (const CommTimeoutError&) {
+        outcome = 1;
+      } catch (const RankFailedError&) {
+        outcome = 2;
+      }
+      done = true;
+    } else if (root.rank() == 1) {
+      // Alive until rank 0 is done.  If the backstop never fires, leaving
+      // after 10 s ends rank 0's recv with RankFailedError instead of a hang.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!done && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  });
+  EXPECT_EQ(outcome.load(), 1) << "1 timeout, 2 rank failed, 3 delivered";
+}
+
+std::string handle_name(const ::testing::TestParamInfo<Handle>& info) {
+  static const char* const kNames[] = {"Root", "Split", "SplitKnown", "Dup",
+                                       "Shrink"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+// Named FaultComm/... so the chaos label's and run_tsan.sh's Fault* filters
+// select it.
+INSTANTIATE_TEST_SUITE_P(FaultComm, BackstopHandle,
+                         ::testing::Values(Handle::Root, Handle::Split,
+                                           Handle::SplitKnown, Handle::Dup,
+                                           Handle::Shrink),
+                         handle_name);
+
+TEST(FaultComm, LateWaitIsCountedButRecordsNoSpan) {
+  // Rank 1 sends about 100 ms after rank 0 starts its recv, which outlasts
+  // the first few expiries of a 0.01 s backstop with 8 retries (5.11 s in
+  // all), gets the message and counts the expiries.  How many there are
+  // depends on host load, so none of them may reach the span timeline.
+  msa::obs::Tracer::instance().set_enabled(true);
+  msa::obs::Tracer::instance().clear();
+  std::atomic<bool> receiving{false};
+  std::atomic<std::uint64_t> stragglers{0};
   Runtime rt = make_runtime(2);
-  try {
-    rt.run([](Comm& comm) {
-      comm.set_wall_backstop(0.02, /*retries=*/1);
-      float buf = 0.0f;
-      comm.recv(std::span<float>(&buf, 1), 1 - comm.rank(), 77);
-    });
-    FAIL() << "expected a timeout-rooted failure";
-  } catch (const AggregateRankError& e) {
-    EXPECT_NE(std::string(e.what()).find("backstop"), std::string::npos);
-  } catch (const CommTimeoutError&) {
-    // Also acceptable: one rank timed out while the other aborted and
-    // swallowed nothing — ordering-dependent which escapes alone.
-  } catch (const RankFailedError&) {
+  rt.run([&](Comm& comm) {
+    int v = 7;
+    if (comm.rank() == 1) {
+      while (!receiving) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      comm.send(std::span<const int>(&v, 1), 0, 5);
+      return;
+    }
+    comm.set_wall_backstop(0.01, /*retries=*/8);
+    receiving = true;
+    comm.recv(std::span<int>(&v, 1), 1, 5);
+    stragglers = comm.straggler_events();
+  });
+  EXPECT_GE(stragglers.load(), 1u);
+  int recvs = 0;
+  for (const msa::obs::Span& span : msa::obs::Tracer::instance().snapshot()) {
+    EXPECT_STRNE(span.name, "late_wait");
+    if (std::strcmp(span.name, "recv") == 0) ++recvs;
   }
+  EXPECT_EQ(recvs, 1);  // the tracer was recording
+  msa::obs::Tracer::instance().clear();
 }
 
 TEST(FaultComm, ShrinkIsDeterministicAndIdempotent) {
